@@ -1,15 +1,19 @@
-# Repro build/test gate. `make check` is the CI entry point: vet plus
-# the full test suite under the race detector (the serving layer runs
+# Repro build/test gate. `make check` is the CI entry point: gofmt, vet
+# plus the full test suite under the race detector (the serving layer runs
 # request workers on goroutines, so races are first-class failures).
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-record bench-check docs-check check ci
+.PHONY: all build fmt vet test race bench bench-record bench-check docs-check check ci
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Fail if any Go file is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -44,15 +48,17 @@ bench-record:
 bench-check:
 	$(GO) run ./scripts
 
-check: build vet docs-check race
+check: build fmt vet docs-check race
 
 # Full CI gate: everything `check` runs, plus the request-lifecycle
 # suite under -race on its own (the drain/shed interleavings deserve an
 # explicit gate even though `race` already covers the package) and the
 # wall-clock overhead guards. The guards compare wall clocks, which is
 # too noisy for the default test run, so they are env-gated and only
-# armed here.
+# armed here. Each fuzz target also gets a short smoke run.
 ci: check
+	$(GO) test -run '^$$' -fuzz '^FuzzStraccelVsStrlib$$' -fuzztime 10s ./internal/core/straccel/
+	$(GO) test -run '^$$' -fuzz '^FuzzStrlibReplace$$' -fuzztime 10s ./internal/strlib/
 	$(GO) test -race -count=1 ./internal/serve/
 	$(GO) test -race -count=1 ./internal/cache/
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/profile/

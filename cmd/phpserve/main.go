@@ -63,8 +63,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"

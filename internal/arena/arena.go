@@ -73,7 +73,7 @@ func (a *Arena) Buf(capacity int) []byte {
 		a.grow()
 	}
 	c := a.chunks[a.cur]
-	b := c[a.used:a.used : a.used+capacity]
+	b := c[a.used : a.used : a.used+capacity]
 	a.used += capacity
 	return b
 }

@@ -5,84 +5,21 @@ package straccel
 // locates them, and the output/shifting logic splices the expansions.
 
 // NL2BR implements stringop[nl2br] (PHP nl2br): equality rows match \r
-// and \n; the shifting logic inserts "<br />" before each break. \r\n
-// pairs receive one break, as in PHP.
+// and \n; the shifting logic inserts "<br />" before each break, and the
+// wrap-around glue logic pairs a \r\n even across a block boundary, so
+// the pair receives one break, as in PHP.
 func (a *Accel) NL2BR(subject []byte) []byte {
 	a.stats.Ops++
-	a.chargeBlocks(len(subject), 2)
-	breaks := 0
-	for i := 0; i < len(subject); i++ {
-		if subject[i] == '\n' || subject[i] == '\r' {
-			breaks++
-			if subject[i] == '\r' && i+1 < len(subject) && subject[i+1] == '\n' {
-				i++
-			}
-		}
-	}
-	out := a.buf(len(subject) + breaks*len("<br />"))
-	for i := 0; i < len(subject); i++ {
-		c := subject[i]
-		if c == '\r' || c == '\n' {
-			out = append(out, "<br />"...)
-			out = append(out, c)
-			// The wrap-around glue logic pairs a \r\n even across a block
-			// boundary, so the pair is handled uniformly here.
-			if c == '\r' && i+1 < len(subject) && subject[i+1] == '\n' {
-				out = append(out, '\n')
-				i++
-			}
-			continue
-		}
-		out = append(out, c)
-	}
-	return out
-}
-
-// chargeBlocks accounts a whole-subject streaming pass with nRows active.
-func (a *Accel) chargeBlocks(n, nRows int) {
-	for rem := n; ; {
-		blk := a.cfg.BlockBytes
-		if rem < blk {
-			blk = rem
-		}
-		a.charge(blk, nRows)
-		rem -= blk
-		if rem <= 0 {
-			break
-		}
-	}
+	a.charge(max(a.blocks(len(subject)), 1), len(subject), 2)
+	return a.sw.NL2BR(subject)
 }
 
 // AddSlashes implements stringop[addslashes]: equality rows for quote,
 // double quote, backslash, and NUL; output logic emits the escape pairs.
 func (a *Accel) AddSlashes(subject []byte) []byte {
 	a.stats.Ops++
-	extra := 0
-	for _, c := range subject {
-		switch c {
-		case '\'', '"', '\\', 0:
-			extra++
-		}
-	}
-	out := a.buf(len(subject) + extra)
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, 4)
-		for i := base; i < end; i++ {
-			switch c := subject[i]; c {
-			case '\'', '"', '\\':
-				out = append(out, '\\', c)
-			case 0:
-				out = append(out, '\\', '0')
-			default:
-				out = append(out, c)
-			}
-		}
-	}
-	return out
+	a.charge(a.blocks(len(subject)), len(subject), 4)
+	return a.sw.AddSlashes(subject)
 }
 
 // ConfigureRows loads an explicit matching-matrix configuration — the
@@ -118,38 +55,30 @@ func (m MatrixConfig) RowCount() int { return len(m.rows) }
 
 // ApplyConfigured runs the currently configured rows over the subject:
 // any byte matching a row is replaced by the row's substitution output
-// (equality rows) or shifted by the substitution delta (range rows).
-// This is the generic datapath behind translate-style complex functions.
-// It returns false (software fallback) when no rows are configured or
-// the configuration exceeds the matrix.
+// (equality rows) or shifted by the substitution delta (range rows); the
+// first matching row wins. This is the generic datapath behind
+// translate-style complex functions. It returns false (software
+// fallback) when no rows are configured or the configuration exceeds the
+// matrix.
 func (a *Accel) ApplyConfigured(subject []byte) ([]byte, bool) {
 	if len(a.cur.rows) == 0 || len(a.cur.rows) > a.cfg.Rows {
 		a.stats.Bypasses++
 		return nil, false
 	}
 	a.stats.Ops++
-	out := a.mk(len(subject))
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, len(a.cur.rows))
-		for i := base; i < end; i++ {
-			c := subject[i]
-			for _, r := range a.cur.rows {
-				if r.matches(c) {
-					switch r.kind {
-					case rowEq, rowSet:
-						c = r.sub
-					case rowRange:
-						c = byte(int(c) + int(int8(r.sub)))
-					}
-					break
-				}
+	a.charge(a.blocks(len(subject)), len(subject), len(a.cur.rows))
+	// The rows define one substitution per byte value; run it as a
+	// translate table.
+	var from, to [256]byte
+	n := 0
+	for c := 0; c < 256; c++ {
+		for _, r := range a.cur.rows {
+			if r.matches(byte(c)) {
+				from[n], to[n] = byte(c), r.apply(byte(c))
+				n++
+				break
 			}
-			out[i] = c
 		}
 	}
-	return out, true
+	return a.sw.Translate(subject, from[:n], to[:n]), true
 }

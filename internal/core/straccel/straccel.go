@@ -23,6 +23,16 @@
 // invocation step (the synthesized design handles a 64-character block in
 // at most 3 cycles at 2 GHz); Stats records blocks and active matrix
 // cells so the simulation can charge cycles and clock-gated energy.
+//
+// The matrix is modelled by its accounting, not its gates. Every result
+// comes from the host kernels in internal/strlib, the same ones the
+// software build runs, and each operation charges its blocks and cells in
+// closed form from the subject length and, for the scanning operations,
+// the position where the priority encoder fires: Find and Replace stop in
+// the block holding the first match's last byte, Compare in the block
+// holding the first difference. The cell-by-cell model these charges
+// reproduce (diagonal state, wrap-around buffering, per-block passes) is
+// kept only as the oracle in this package's tests.
 package straccel
 
 import (
@@ -98,6 +108,16 @@ func (r row) matches(c byte) bool {
 	}
 }
 
+// apply returns the row's output for a byte it matches: the substitution
+// byte for equality and set rows, c shifted by the signed substitution
+// delta for range rows.
+func (r row) apply(c byte) byte {
+	if r.kind == rowRange {
+		return byte(int(c) + int(int8(r.sub)))
+	}
+	return r.sub
+}
+
 // MatrixConfig is a saved matching-matrix configuration. strwriteconfig
 // stores one before a context switch and strreadconfig restores it
 // (§4.6); complex functions also load their row setup through it.
@@ -118,15 +138,12 @@ type Stats struct {
 }
 
 // Accel is the string accelerator. Not safe for concurrent use; it is a
-// per-core structure — which is also what makes its private scratch
-// buffers (diagonal state) safe to reuse across operations.
+// per-core structure.
 type Accel struct {
 	cfg   Config
 	cur   MatrixConfig
 	stats Stats
-	sw    strlib.Lib // reference implementation for software fallback
-	mem   strlib.Allocator
-	diag  []bool // matchScan diagonal state, reused across scans
+	sw    strlib.Lib // host kernels computing every result; no observer
 }
 
 // New builds an accelerator.
@@ -134,29 +151,10 @@ func New(cfg Config) *Accel {
 	return &Accel{cfg: cfg.sanitized()}
 }
 
-// SetMem routes result-string allocation (here and in the software
-// fallback) through m — typically the owning core's request arena.
-// Results then follow m's lifetime; see strlib.Allocator.
-func (a *Accel) SetMem(m strlib.Allocator) {
-	a.mem = m
-	a.sw.Mem = m
-}
-
-// mk allocates a length-n result slice via the configured allocator.
-func (a *Accel) mk(n int) []byte {
-	if a.mem != nil {
-		return a.mem.Make(n)
-	}
-	return make([]byte, n)
-}
-
-// buf allocates a zero-length, capacity-c result slice.
-func (a *Accel) buf(c int) []byte {
-	if a.mem != nil {
-		return a.mem.Buf(c)
-	}
-	return make([]byte, 0, c)
-}
+// SetMem routes result-string allocation through m — typically the
+// owning core's request arena. Results then follow m's lifetime; see
+// strlib.Allocator.
+func (a *Accel) SetMem(m strlib.Allocator) { a.sw.Mem = m }
 
 // Config returns the accelerator configuration.
 func (a *Accel) Config() Config { return a.cfg }
@@ -182,12 +180,29 @@ func (a *Accel) LoadConfig(c MatrixConfig) {
 	a.cur = MatrixConfig{rows: append([]row(nil), c.rows...)}
 }
 
-// charge accounts one matrix pass over the block for nRows active rows.
-func (a *Accel) charge(blockLen, nRows int) {
-	a.stats.Blocks++
-	a.stats.Bytes += int64(blockLen)
-	a.stats.ActiveCells += int64(blockLen * nRows)
-	a.stats.GatedCells += int64(blockLen * (a.cfg.Rows - nRows))
+// charge accounts nBlocks matrix passes that together stream n subject
+// bytes through nRows active rows; the remaining rows are clock-gated.
+func (a *Accel) charge(nBlocks, n, nRows int) {
+	a.stats.Blocks += int64(nBlocks)
+	a.stats.Bytes += int64(n)
+	a.stats.ActiveCells += int64(n * nRows)
+	a.stats.GatedCells += int64(n * (a.cfg.Rows - nRows))
+}
+
+// blocks returns the number of matrix passes that stream n bytes.
+func (a *Accel) blocks(n int) int {
+	return (n + a.cfg.BlockBytes - 1) / a.cfg.BlockBytes
+}
+
+// scan charges a left-to-right pass over an n-byte subject that the
+// priority encoder ends once it fires on byte stop-1: every block up to
+// and including the one holding that byte streams through the matrix.
+// stop < 0 means it never fires and all n bytes stream.
+func (a *Accel) scan(n, stop, nRows int) {
+	if stop >= 0 {
+		n = min(n, a.blocks(stop)*a.cfg.BlockBytes)
+	}
+	a.charge(a.blocks(n), n, nRows)
 }
 
 // Find implements stringop[find] (PHP strpos): the matrix rows hold the
@@ -195,46 +210,18 @@ func (a *Accel) charge(blockLen, nRows int) {
 // encoder returns the first full-match position. Patterns longer than the
 // matrix fall back to software.
 func (a *Accel) Find(subject, pattern []byte) (int, bool) {
+	pos := a.sw.Find(subject, pattern)
 	if len(pattern) > a.cfg.Rows || len(pattern) == 0 {
 		a.stats.Bypasses++
-		return a.sw.Find(subject, pattern), false
+		return pos, false
 	}
 	a.stats.Ops++
-	return a.matchScan(subject, pattern), true
-}
-
-// matchScan runs the matching matrix over subject looking for pattern,
-// charging per-block costs but not the per-op counter.
-func (a *Accel) matchScan(subject, pattern []byte) int {
-	// Diagonal state: diag[k] means the first k pattern bytes matched
-	// ending at the previous byte; buffered across blocks (wrap-around).
-	m := len(pattern)
-	if cap(a.diag) < m {
-		a.diag = make([]bool, m)
+	stop := -1
+	if pos >= 0 {
+		stop = pos + len(pattern)
 	}
-	diag := a.diag[:m] // diag[k]: k leading pattern bytes matched so far
-	clear(diag)
-	diag0 := true // zero-length prefix always matches
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		block := subject[base:end]
-		a.charge(len(block), m)
-		for i, c := range block {
-			// One column of the matching matrix: compare c against every
-			// pattern row in parallel, then AND with the diagonal.
-			for k := m - 1; k >= 1; k-- {
-				diag[k] = diag[k-1] && pattern[k] == c
-			}
-			diag[0] = diag0 && pattern[0] == c
-			if diag[m-1] {
-				return base + i - m + 1
-			}
-		}
-	}
-	return -1
+	a.scan(len(subject), stop, len(pattern))
+	return pos, true
 }
 
 // Compare implements stringop[compare]: blocks of both strings are
@@ -242,158 +229,79 @@ func (a *Accel) matchScan(subject, pattern []byte) int {
 // difference.
 func (a *Accel) Compare(x, y []byte) int {
 	a.stats.Ops++
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
+	n := min(len(x), len(y))
+	d := strlib.Mismatch(x, y)
+	stop := -1
+	if d < n {
+		stop = d + 1
 	}
-	for base := 0; base < n; base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > n {
-			end = n
-		}
-		a.charge(end-base, 1)
-		for i := base; i < end; i++ {
-			switch {
-			case x[i] < y[i]:
-				return -1
-			case x[i] > y[i]:
-				return 1
-			}
-		}
-	}
-	switch {
-	case len(x) < len(y):
-		return -1
-	case len(x) > len(y):
-		return 1
-	}
-	return 0
+	a.scan(n, stop, 1)
+	// x and y agree before d, so their order is that of what follows.
+	return a.sw.Compare(x[d:], y[d:])
 }
 
 // ToUpper implements stringop[toupper] using an inequality row pair
 // ('a' <= c <= 'z') and the output substitution logic.
 func (a *Accel) ToUpper(subject []byte) []byte {
-	return a.caseConvert(subject, 'a', 'z', -32)
+	a.stats.Ops++
+	a.charge(max(a.blocks(len(subject)), 1), len(subject), 1)
+	return a.sw.ToUpper(subject)
 }
 
 // ToLower implements stringop[tolower].
 func (a *Accel) ToLower(subject []byte) []byte {
-	return a.caseConvert(subject, 'A', 'Z', +32)
-}
-
-func (a *Accel) caseConvert(subject []byte, lo, hi byte, delta int) []byte {
 	a.stats.Ops++
-	out := a.mk(len(subject))
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, 1)
-		for i := base; i < end; i++ {
-			c := subject[i]
-			if c >= lo && c <= hi {
-				c = byte(int(c) + delta)
-			}
-			out[i] = c
-		}
-	}
-	if len(subject) == 0 {
-		a.charge(0, 1)
-	}
-	return out
+	a.charge(max(a.blocks(len(subject)), 1), len(subject), 1)
+	return a.sw.ToLower(subject)
 }
 
 // Translate implements stringop[translate] (PHP strtr with equal-length
 // tables): one equality row per source character with its substitution
-// output. Tables wider than the matrix fall back to software.
+// output; as in PHP, the last row for a repeated source character wins.
+// Tables wider than the matrix fall back to software. Panics if the
+// tables differ in length.
 func (a *Accel) Translate(subject, from, to []byte) ([]byte, bool) {
-	if len(from) != len(to) {
-		panic("straccel: translate tables must have equal length")
-	}
+	out := a.sw.Translate(subject, from, to)
 	if len(from) > a.cfg.Rows {
 		a.stats.Bypasses++
-		return a.sw.Translate(subject, from, to), false
+		return out, false
 	}
 	a.stats.Ops++
-	out := a.mk(len(subject))
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, max(len(from), 1))
-		for i := base; i < end; i++ {
-			c := subject[i]
-			for r := range from {
-				if c == from[r] {
-					c = to[r]
-					break
-				}
-			}
-			out[i] = c
-		}
-	}
+	a.charge(a.blocks(len(subject)), len(subject), max(len(from), 1))
 	return out, true
 }
 
 // Trim implements stringop[trim]: set-membership rows detect the trim
-// characters; only the string's edges stream through the matrix.
+// characters; only the string's edges stream through the matrix, in one
+// pass more than the edge bytes fill.
 func (a *Accel) Trim(subject []byte, cutset []byte) []byte {
 	a.stats.Ops++
-	inCut := func(c byte) bool {
-		for _, s := range cutset {
-			if c == s {
-				return true
-			}
-		}
-		return false
-	}
-	lo, hi := 0, len(subject)
-	edge := 0
-	for lo < hi && inCut(subject[lo]) {
-		lo++
-		edge++
-	}
-	for hi > lo && inCut(subject[hi-1]) {
-		hi--
-		edge++
-	}
-	blocks := (edge+a.cfg.BlockBytes-1)/a.cfg.BlockBytes + 1
-	for i := 0; i < blocks; i++ {
-		n := edge
-		if n > a.cfg.BlockBytes {
-			n = a.cfg.BlockBytes
-		}
-		a.charge(n, max(len(cutset), 1))
-		edge -= n
-	}
-	return subject[lo:hi]
+	out := strlib.TrimSet(subject, cutset)
+	edge := len(subject) - len(out)
+	a.charge(a.blocks(edge)+1, edge, max(len(cutset), 1))
+	return out
 }
 
 // Replace implements stringop[replace] (PHP str_replace) by combining the
 // matching matrix with the shifting logic. Patterns wider than the matrix
 // fall back to software.
 func (a *Accel) Replace(subject, old, new []byte) ([]byte, int, bool) {
+	out, count := a.sw.Replace(subject, old, new)
 	if len(old) > a.cfg.Rows || len(old) == 0 {
 		a.stats.Bypasses++
-		out, n := a.sw.Replace(subject, old, new)
-		return out, n, false
+		return out, count, false
 	}
 	a.stats.Ops++
-	out := a.buf(len(subject))
-	count := 0
+	// The matrix rescans from just past each match, its block grid
+	// restarting there, and a final scan misses over the rest.
 	pos := 0
-	for pos < len(subject) {
-		rel := a.matchScan(subject[pos:], old)
-		if rel < 0 {
-			out = append(out, subject[pos:]...)
-			break
-		}
-		out = append(out, subject[pos:pos+rel]...)
-		out = append(out, new...)
-		pos += rel + len(old)
-		count++
+	for range count {
+		end := a.sw.Find(subject[pos:], old) + len(old)
+		a.scan(len(subject)-pos, end, len(old))
+		pos += end
+	}
+	if pos < len(subject) {
+		a.scan(len(subject)-pos, -1, len(old))
 	}
 	return out, count, true
 }
@@ -403,42 +311,8 @@ func (a *Accel) Replace(subject, old, new []byte) ([]byte, int, bool) {
 // them, and the shifting logic splices the entities into the output.
 func (a *Accel) HTMLSpecialChars(subject []byte) []byte {
 	a.stats.Ops++
-	// Pre-size exactly (host-side pass; simulated charges are unchanged)
-	// so the result never grows out of its allocator.
-	extra := 0
-	for _, c := range subject {
-		switch c {
-		case '&':
-			extra += len("&amp;") - 1
-		case '<', '>':
-			extra += len("&lt;") - 1
-		case '"':
-			extra += len("&quot;") - 1
-		}
-	}
-	out := a.buf(len(subject) + extra)
-	for base := 0; base < len(subject); base += a.cfg.BlockBytes {
-		end := base + a.cfg.BlockBytes
-		if end > len(subject) {
-			end = len(subject)
-		}
-		a.charge(end-base, 4)
-		for i := base; i < end; i++ {
-			switch subject[i] {
-			case '&':
-				out = append(out, "&amp;"...)
-			case '<':
-				out = append(out, "&lt;"...)
-			case '>':
-				out = append(out, "&gt;"...)
-			case '"':
-				out = append(out, "&quot;"...)
-			default:
-				out = append(out, subject[i])
-			}
-		}
-	}
-	return out
+	a.charge(a.blocks(len(subject)), len(subject), 4)
+	return a.sw.HTMLSpecialChars(subject)
 }
 
 // HintVector generates the content-sifting HV for the regexp accelerator
@@ -447,26 +321,6 @@ func (a *Accel) HTMLSpecialChars(subject []byte) []byte {
 // the "complex string functions" configured via strreadconfig.
 func (a *Accel) HintVector(subject []byte, segSize int) []uint64 {
 	a.stats.Ops++
-	if segSize <= 0 {
-		segSize = 32
-	}
-	nblocks := (len(subject) + a.cfg.BlockBytes - 1) / a.cfg.BlockBytes
-	if nblocks == 0 {
-		nblocks = 1
-	}
-	for i := 0; i < nblocks; i++ {
-		n := a.cfg.BlockBytes
-		if rem := len(subject) - i*a.cfg.BlockBytes; rem < n {
-			n = rem
-		}
-		a.charge(n, a.cfg.InequalityRows)
-	}
+	a.charge(max(a.blocks(len(subject)), 1), len(subject), a.cfg.InequalityRows)
 	return strlib.ClassScanRef(subject, segSize)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -68,23 +68,23 @@ func truncateField(s string) string {
 // in microseconds to match /stats. Path and UserAgent are truncated to
 // maxLogFieldLen.
 type LogEntry struct {
-	Time      string             `json:"ts"`
-	Request   uint64             `json:"request"`
-	RequestID string             `json:"request_id,omitempty"`
-	Worker    int                `json:"worker"`
-	Backend   string             `json:"backend"`
-	Path      string             `json:"path,omitempty"`
-	UserAgent string             `json:"user_agent,omitempty"`
-	LatencyUS int64              `json:"latency_us"`
-	QueueUS   int64              `json:"queue_us,omitempty"`
-	Status    int                `json:"status,omitempty"`
-	Outcome   string             `json:"outcome,omitempty"`
-	Bytes     int                `json:"bytes"`
-	Sampled   bool               `json:"sampled"`
-	Rerouted  bool               `json:"rerouted,omitempty"`
-	ShedReason string            `json:"shed_reason,omitempty"`
-	Cycles    float64            `json:"cycles,omitempty"`
-	Breakdown map[string]float64 `json:"cycles_by_category,omitempty"`
+	Time       string             `json:"ts"`
+	Request    uint64             `json:"request"`
+	RequestID  string             `json:"request_id,omitempty"`
+	Worker     int                `json:"worker"`
+	Backend    string             `json:"backend"`
+	Path       string             `json:"path,omitempty"`
+	UserAgent  string             `json:"user_agent,omitempty"`
+	LatencyUS  int64              `json:"latency_us"`
+	QueueUS    int64              `json:"queue_us,omitempty"`
+	Status     int                `json:"status,omitempty"`
+	Outcome    string             `json:"outcome,omitempty"`
+	Bytes      int                `json:"bytes"`
+	Sampled    bool               `json:"sampled"`
+	Rerouted   bool               `json:"rerouted,omitempty"`
+	ShedReason string             `json:"shed_reason,omitempty"`
+	Cycles     float64            `json:"cycles,omitempty"`
+	Breakdown  map[string]float64 `json:"cycles_by_category,omitempty"`
 }
 
 // appendJSONString appends s as a quoted JSON string, escaping the

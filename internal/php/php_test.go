@@ -361,6 +361,25 @@ foreach ($posts as $p) {
 	}
 }
 
+// TestStrtrAcceleratedMatchesSoftware: with a source character repeated
+// in the from table, the last mapping wins on both runtimes, as in PHP.
+func TestStrtrAcceleratedMatchesSoftware(t *testing.T) {
+	src := `<?php
+echo strtr("abc", "aa", "xy"), "|", strtr("hello world", "lol", "01L"), "|", strtr("", "a", "b");
+`
+	sw, err := RunScript(swRT(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw, err := RunScript(hwRT(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "ybc|heLL1 w1rLd|"; string(sw) != want || string(hw) != string(sw) {
+		t.Errorf("strtr: software %q, accelerated %q, want %q", sw, hw, want)
+	}
+}
+
 func TestCostsAreCharged(t *testing.T) {
 	rt := swRT()
 	_, err := RunScript(rt, `<?php

@@ -162,6 +162,7 @@ func findRef(subject, pattern []byte) int {
 
 // Replace substitutes every occurrence of old with new in subject,
 // returning a fresh slice (PHP str_replace) and the replacement count.
+// Matches are found left to right and do not overlap.
 func (l *Lib) Replace(subject, old, new []byte) ([]byte, int) {
 	l.emit(OpReplace, len(subject))
 	if len(old) == 0 {
@@ -171,47 +172,28 @@ func (l *Lib) Replace(subject, old, new []byte) ([]byte, int) {
 	}
 	out := l.buf(len(subject))
 	count := 0
-	i := 0
-	for i <= len(subject)-len(old) {
-		if match(subject[i:], old) {
-			out = append(out, new...)
-			i += len(old)
-			count++
-		} else {
-			out = append(out, subject[i])
-			i++
+	for {
+		i := find(subject, old)
+		if i < 0 {
+			break
 		}
+		out = append(out, subject[:i]...)
+		out = append(out, new...)
+		subject = subject[i+len(old):]
+		count++
 	}
-	out = append(out, subject[i:]...)
-	return out, count
-}
-
-func match(s, p []byte) bool {
-	if len(s) < len(p) {
-		return false
-	}
-	for i := range p {
-		if s[i] != p[i] {
-			return false
-		}
-	}
-	return true
+	return append(out, subject...), count
 }
 
 // Compare returns -1, 0, or 1 comparing a and b lexicographically.
 func (l *Lib) Compare(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+	n := min(len(a), len(b))
 	l.emit(OpCompare, n)
-	for i := 0; i < n; i++ {
-		switch {
-		case a[i] < b[i]:
+	if d := Mismatch(a, b); d < n {
+		if a[d] < b[d] {
 			return -1
-		case a[i] > b[i]:
-			return 1
 		}
+		return 1
 	}
 	switch {
 	case len(a) < len(b):
@@ -222,6 +204,18 @@ func (l *Lib) Compare(a, b []byte) int {
 	return 0
 }
 
+// Mismatch returns the index of the first byte at which a and b differ,
+// or the shorter length when one is a prefix of the other.
+func Mismatch(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
 // defaultTrimSet is PHP trim's default character set.
 var defaultTrimSet = []byte(" \t\n\r\x00\x0b")
 
@@ -229,23 +223,20 @@ var defaultTrimSet = []byte(" \t\n\r\x00\x0b")
 // aliases subject.
 func (l *Lib) Trim(subject []byte) []byte {
 	l.emit(OpTrim, len(subject))
+	return TrimSet(subject, defaultTrimSet)
+}
+
+// TrimSet strips every byte in set from both ends of subject (PHP trim
+// with an explicit character list). The result aliases subject.
+func TrimSet(subject, set []byte) []byte {
 	lo, hi := 0, len(subject)
-	for lo < hi && inSet(subject[lo], defaultTrimSet) {
+	for lo < hi && bytes.IndexByte(set, subject[lo]) >= 0 {
 		lo++
 	}
-	for hi > lo && inSet(subject[hi-1], defaultTrimSet) {
+	for hi > lo && bytes.IndexByte(set, subject[hi-1]) >= 0 {
 		hi--
 	}
 	return subject[lo:hi]
-}
-
-func inSet(c byte, set []byte) bool {
-	for _, s := range set {
-		if c == s {
-			return true
-		}
-	}
-	return false
 }
 
 // ToUpper returns an upper-cased copy (ASCII, PHP strtoupper).
@@ -295,6 +286,14 @@ func (l *Lib) Translate(subject, from, to []byte) []byte {
 	return out
 }
 
+// htmlEntity maps each byte htmlspecialchars escapes to its entity;
+// htmlExtra is how many bytes longer than that byte the entity is (0 for
+// bytes that pass through).
+var (
+	htmlEntity = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '"': "&quot;"}
+	htmlExtra  = [256]uint8{'&': 4, '<': 3, '>': 3, '"': 5}
+)
+
 // HTMLSpecialChars escapes &, <, >, and double quote as HTML entities
 // (PHP htmlspecialchars with default flags, minus single-quote handling
 // differences).
@@ -303,31 +302,22 @@ func (l *Lib) HTMLSpecialChars(subject []byte) []byte {
 	// Pre-size exactly so the result never grows out of its allocator.
 	extra := 0
 	for _, c := range subject {
-		switch c {
-		case '&':
-			extra += len("&amp;") - 1
-		case '<', '>':
-			extra += len("&lt;") - 1
-		case '"':
-			extra += len("&quot;") - 1
-		}
+		extra += int(htmlExtra[c])
 	}
 	out := l.buf(len(subject) + extra)
-	for _, c := range subject {
-		switch c {
-		case '&':
-			out = append(out, "&amp;"...)
-		case '<':
-			out = append(out, "&lt;"...)
-		case '>':
-			out = append(out, "&gt;"...)
-		case '"':
-			out = append(out, "&quot;"...)
-		default:
-			out = append(out, c)
+	if extra == 0 {
+		return append(out, subject...)
+	}
+	// Copy the runs between specials whole.
+	last := 0
+	for i, c := range subject {
+		if htmlExtra[c] != 0 {
+			out = append(out, subject[last:i]...)
+			out = append(out, htmlEntity[c]...)
+			last = i + 1
 		}
 	}
-	return out
+	return append(out, subject[last:]...)
 }
 
 // AddSlashes backslash-escapes quotes, backslashes, and NULs (PHP

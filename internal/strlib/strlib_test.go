@@ -2,6 +2,7 @@ package strlib
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -336,4 +337,29 @@ func BenchmarkHTMLSpecialChars(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.HTMLSpecialChars(subject)
 	}
+}
+
+// FuzzStrlibReplace checks Replace against bytes.Replace: the same
+// output and, for a non-empty pattern, bytes.Count's non-overlapping
+// match count. An empty pattern leaves the subject unchanged, where
+// bytes.Replace would insert at every rune boundary.
+func FuzzStrlibReplace(f *testing.F) {
+	f.Add([]byte("a-b-c"), []byte("-"), []byte("+"))
+	f.Add([]byte("aaaa"), []byte("aa"), []byte("b"))
+	f.Add([]byte("<b>x</b>"), []byte("<b>"), []byte("<strong>"))
+	f.Add([]byte("xyz"), []byte(""), []byte("!"))
+	if src, err := os.ReadFile("../../examples/blog.php"); err == nil {
+		f.Add(src, []byte("echo"), []byte("print"))
+	}
+	f.Fuzz(func(t *testing.T, s, old, new []byte) {
+		var l Lib
+		got, n := l.Replace(s, old, new)
+		want, wantN := bytes.Replace(s, old, new, -1), bytes.Count(s, old)
+		if len(old) == 0 {
+			want, wantN = s, 0
+		}
+		if !bytes.Equal(got, want) || n != wantN {
+			t.Errorf("Replace(%q, %q, %q) = %q, %d; want %q, %d", s, old, new, got, n, want, wantN)
+		}
+	})
 }
