@@ -531,8 +531,8 @@ func BenchmarkAccelStringFind(b *testing.B) {
 func BenchmarkAccelRegexSift(b *testing.B) {
 	ra := regexaccel.New(regexaccel.DefaultConfig())
 	rt := vm.New(vm.Config{TraceCapacity: -1})
-	re := rt.MustRegex("bench", `"`)
-	sieve := rt.MustRegex("bench", `<`)
+	re := rt.MustRegex(sim.Intern("bench"), `"`)
+	sieve := rt.MustRegex(sim.Intern("bench"), `<`)
 	content := make([]byte, 8192)
 	for i := range content {
 		content[i] = byte('a' + i%26)

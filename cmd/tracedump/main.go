@@ -12,6 +12,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	}
 
 	counts := map[trace.Kind]int{}
-	fnCounts := map[string]int{}
+	fnCounts := map[sim.Fn]int{}
 	var keyBytes, shortKeys, hashOps int
 	for _, e := range events {
 		counts[e.Kind]++
@@ -69,7 +70,7 @@ func main() {
 	}
 	var fns []fc
 	for fn, n := range fnCounts {
-		fns = append(fns, fc{fn, n})
+		fns = append(fns, fc{fn.String(), n})
 	}
 	sort.Slice(fns, func(i, j int) bool {
 		if fns[i].n != fns[j].n {

@@ -15,22 +15,31 @@ import (
 	"repro/internal/vm"
 )
 
+// Leaf functions the example charges, interned once.
+var (
+	fnRenderFeed  = sim.Intern("render_feed")
+	fnLoadOptions = sim.Intern("load_options")
+	fnWptexturize = sim.Intern("wptexturize")
+	fnGetPostMeta = sim.Intern("get_post_meta")
+	fnBuildLink   = sim.Intern("build_link")
+)
+
 // renderFeed builds a small blog feed page: post metadata from hash maps,
 // attribute tags with escaped values, a texturize regexp chain over each
 // body, and comment formatting.
 func renderFeed(rt *vm.Runtime, posts int) []byte {
 	rt.BeginRequest()
-	ob := rt.NewOutputBuffer("render_feed")
+	ob := rt.NewOutputBuffer(fnRenderFeed)
 	ob.WriteString("<html><body>\n")
 
 	// Site options: static keys, specialized away by inline caching.
-	opts := rt.NewArray("load_options")
-	rt.ASet("load_options", opts, hashmap.StrKey("blogname"), []byte("repro blog"), false)
-	rt.ASet("load_options", opts, hashmap.StrKey("posts_per_page"), posts, false)
-	name, _ := rt.AGet("load_options", opts, hashmap.StrKey("blogname"), false)
-	ob.Write(rt.Concat("render_feed", []byte("<h1>"), rt.EscapeHTML("render_feed", name.([]byte)), []byte("</h1>\n")))
+	opts := rt.NewArray(fnLoadOptions)
+	rt.ASet(fnLoadOptions, opts, hashmap.StrKey("blogname"), []byte("repro blog"), false)
+	rt.ASet(fnLoadOptions, opts, hashmap.StrKey("posts_per_page"), posts, false)
+	name, _ := rt.AGet(fnLoadOptions, opts, hashmap.StrKey("blogname"), false)
+	ob.Write(rt.Concat(fnRenderFeed, []byte("<h1>"), rt.EscapeHTML(fnRenderFeed, name.([]byte)), []byte("</h1>\n")))
 
-	chain, err := rt.NewChain("wptexturize", []vm.ChainStep{
+	chain, err := rt.NewChain(fnWptexturize, []vm.ChainStep{
 		{Pattern: `(?<=\w)'`, Repl: "&#8217;"}, // curly apostrophe
 		{Pattern: `"`, Repl: "&#8221;"},        // curly quote
 		{Pattern: "\n", Repl: "<br />"},        // line breaks
@@ -42,20 +51,20 @@ func renderFeed(rt *vm.Runtime, posts int) []byte {
 
 	for i := 0; i < posts; i++ {
 		// Post metadata in a short-lived hash map with dynamic keys.
-		meta := rt.NewArray("get_post_meta")
-		rt.ASet("get_post_meta", meta, hashmap.StrKey("title"), fmt.Sprintf("Post #%d: the server's \"big\" day", i), true)
-		rt.ASet("get_post_meta", meta, hashmap.StrKey("author"), fmt.Sprintf("author%d", i%3), true)
-		rt.ASet("get_post_meta", meta, hashmap.StrKey("href"), fmt.Sprintf("/?p=%d", i), true)
+		meta := rt.NewArray(fnGetPostMeta)
+		rt.ASet(fnGetPostMeta, meta, hashmap.StrKey("title"), fmt.Sprintf("Post #%d: the server's \"big\" day", i), true)
+		rt.ASet(fnGetPostMeta, meta, hashmap.StrKey("author"), fmt.Sprintf("author%d", i%3), true)
+		rt.ASet(fnGetPostMeta, meta, hashmap.StrKey("href"), fmt.Sprintf("/?p=%d", i), true)
 
-		attrs := rt.NewArray("build_link")
-		rt.AForeach("get_post_meta", meta, func(k hashmap.Key, v interface{}) bool {
+		attrs := rt.NewArray(fnBuildLink)
+		rt.AForeach(fnGetPostMeta, meta, func(k hashmap.Key, v interface{}) bool {
 			if k.Str == "href" {
-				rt.ASet("build_link", attrs, k, []byte(v.(string)), true)
+				rt.ASet(fnBuildLink, attrs, k, []byte(v.(string)), true)
 			}
 			return true
 		})
-		title, _ := rt.AGet("get_post_meta", meta, hashmap.StrKey("title"), true)
-		tag := rt.BuildTag("build_link", "a", attrs, []byte(title.(string)))
+		title, _ := rt.AGet(fnGetPostMeta, meta, hashmap.StrKey("title"), true)
+		tag := rt.BuildTag(fnBuildLink, "a", attrs, []byte(title.(string)))
 		ob.Write(tag)
 		ob.WriteString("\n")
 
@@ -66,12 +75,12 @@ func renderFeed(rt *vm.Runtime, posts int) []byte {
 			"touching the bytes because their segments carry no special characters. "
 		body := []byte(plain + plain + "It's a fine day for \"benchmarks\".\n" +
 			plain + plain + plain + "A <tag> appears here. " + plain)
-		out, _ := chain.Apply("wptexturize", body)
+		out, _ := chain.Apply(fnWptexturize, body)
 		ob.Write(out)
 		ob.WriteString("\n")
 
-		rt.FreeArray("build_link", attrs)
-		rt.FreeArray("get_post_meta", meta)
+		rt.FreeArray(fnBuildLink, attrs)
+		rt.FreeArray(fnGetPostMeta, meta)
 	}
 	ob.WriteString("</body></html>\n")
 	return ob.Bytes()

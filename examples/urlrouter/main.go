@@ -15,33 +15,40 @@ import (
 	"repro/internal/vm"
 )
 
+// Leaf functions the example charges, interned once.
+var (
+	fnParseQuery     = sim.Intern("parse_query")
+	fnExtract        = sim.Intern("extract")
+	fnRenderTemplate = sim.Intern("render_template")
+)
+
 func main() {
 	rt := vm.New(vm.Config{Features: isa.AllAccelerators(), Mitigations: sim.AllMitigations()})
 
 	// Route table: query parameters arrive with dynamic key names.
-	params := rt.NewArray("parse_query")
+	params := rt.NewArray(fnParseQuery)
 	for i, kv := range [][2]string{
 		{"page", "about"}, {"author", "gope"}, {"lang", "en"},
 		{"utm_source", "newsletter"}, {"sort", "newest"},
 	} {
-		rt.ASet("parse_query", params, hashmap.StrKey(kv[0]), kv[1], true)
+		rt.ASet(fnParseQuery, params, hashmap.StrKey(kv[0]), kv[1], true)
 		_ = i
 	}
 
 	// extract(): import every pair into the handler's symbol table.
-	symtab := rt.NewArray("extract")
-	n := rt.Extract("extract", symtab, params)
+	symtab := rt.NewArray(fnExtract)
+	n := rt.Extract(fnExtract, symtab, params)
 	fmt.Printf("extract() imported %d variables into the symbol table\n", n)
 
 	// The template reads them back by dynamic name.
 	for _, name := range []string{"page", "author", "lang"} {
-		v, ok := rt.AGet("render_template", symtab, hashmap.StrKey(name), true)
+		v, ok := rt.AGet(fnRenderTemplate, symtab, hashmap.StrKey(name), true)
 		fmt.Printf("  $%s = %v (found=%v)\n", name, v, ok)
 	}
 
 	// foreach preserves insertion order — the RTT guarantee.
 	fmt.Print("\nforeach order: ")
-	rt.AForeach("render_template", symtab, func(k hashmap.Key, v interface{}) bool {
+	rt.AForeach(fnRenderTemplate, symtab, func(k hashmap.Key, v interface{}) bool {
 		fmt.Printf("%s ", k)
 		return true
 	})
@@ -50,8 +57,8 @@ func main() {
 	// The whole exchange was served by the hardware hash table; the
 	// short-lived maps are freed through the RTT without writebacks.
 	before := rt.CPU().HT.Stats()
-	rt.FreeArray("parse_query", params)
-	rt.FreeArray("extract", symtab)
+	rt.FreeArray(fnParseQuery, params)
+	rt.FreeArray(fnExtract, symtab)
 	after := rt.CPU().HT.Stats()
 
 	fmt.Printf("\nhash table: %d GETs (%.0f%% hit), %d SETs, %d writebacks to memory\n",

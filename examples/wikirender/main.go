@@ -14,6 +14,12 @@ import (
 	"repro/internal/vm"
 )
 
+// Leaf functions the example charges, interned once.
+var (
+	fnWfParse = sim.Intern("wfParse")
+	fnWfRoute = sim.Intern("wfRoute")
+)
+
 func article() []byte {
 	para := "The accelerator processes ordinary prose quickly because most " +
 		"segments contain no special characters at all and can be skipped. "
@@ -35,14 +41,14 @@ func main() {
 
 	// The sieve: the first regexp over the content scans everything and
 	// emits the hint vector through the string accelerator.
-	sieve := rt.MustRegex("wfParse", `<`)
-	tags, hv := cpu.RegexSieve("wfParse", sieve, body)
+	sieve := rt.MustRegex(fnWfParse, `<`)
+	tags, hv := cpu.RegexSieve(fnWfParse, sieve, body)
 	fmt.Printf("article: %d bytes; sieve '<' found %d tags\n", len(body), len(tags))
 
 	// Shadows: later regexps consult the HV and skip clean segments.
 	for _, pattern := range []string{`"[a-z ]*"`, `&`, `(?<=\w)'`} {
-		re := rt.MustRegex("wfParse", pattern)
-		ms := cpu.RegexShadow("wfParse", re, body, hv)
+		re := rt.MustRegex(fnWfParse, pattern)
+		ms := cpu.RegexShadow(fnWfParse, re, body, hv)
 		fmt.Printf("shadow %-14q found %2d matches\n", pattern, len(ms))
 	}
 	st := cpu.RA.Stats()
@@ -50,10 +56,10 @@ func main() {
 		100*float64(st.BytesSkippedSift)/float64(st.BytesPresented))
 
 	// Content reuse: author URLs that differ only in the final field.
-	re := rt.MustRegex("wfRoute", `https://[a-z]+/\?author=[a-z0-9]+`)
+	re := rt.MustRegex(fnWfRoute, `https://[a-z]+/\?author=[a-z0-9]+`)
 	for _, author := range []string{"alice", "amara", "ezra", "erin"} {
 		url := []byte("https://localhost/?author=" + author)
-		end := rt.ScanURL("wfRoute", re, 0xBEEF, url)
+		end := rt.ScanURL(fnWfRoute, re, 0xBEEF, url)
 		fmt.Printf("scan %-38s accepted prefix %2d bytes\n", url, end)
 	}
 	st = cpu.RA.Stats()

@@ -34,10 +34,10 @@ import (
 	"repro/internal/sim"
 )
 
-// LookupFn is the leaf function name the fixed per-lookup cost is
-// charged to; it shows up in flat profiles and flamegraphs like any
-// other runtime function.
-const LookupFn = "response_cache_lookup"
+// LookupFn is the leaf function (response_cache_lookup) the fixed
+// per-lookup cost is charged to; it shows up in flat profiles and
+// flamegraphs like any other runtime function.
+var LookupFn = sim.Intern("response_cache_lookup")
 
 // DefaultLookupUops is the fixed simulated micro-op cost of one cache
 // lookup: a key hash, one bucket probe, and the response handoff. It is

@@ -72,12 +72,20 @@ type CPU struct {
 
 	feats Features
 
-	curFn     string
+	curFn     sim.Fn
 	curCat    sim.Category
 	mute      bool   // suppress substrate observer charges (IC-specialized path)
 	nextMapID uint64 // per-core map identity counter (deterministic under concurrency)
 	rebuilds  int64  // stale-index rebuilds across this core's maps
 }
+
+// Leaf functions the core charges on its own account rather than the
+// caller's.
+var (
+	fnContextSwitch = sim.Intern("context_switch")
+	fnKernelAlloc   = sim.Intern("kernel_alloc")
+	fnPCRECompile   = sim.Intern("pcre_compile")
+)
 
 // New builds a CPU with the given meter and features. The software heap
 // allocator samples its timeline every sampleEvery ops (0 disables).
@@ -124,7 +132,7 @@ func (c *CPU) SetMem(m strlib.Allocator) {
 func (c *CPU) MapRebuilds() int64 { return c.rebuilds }
 
 // at sets the leaf-function attribution context for subsequent charges.
-func (c *CPU) at(fn string, cat sim.Category) {
+func (c *CPU) at(fn sim.Fn, cat sim.Category) {
 	c.curFn = fn
 	c.curCat = cat
 }
@@ -212,7 +220,7 @@ func (o *heapObs) OnRefill(class, segments int) {
 		// §3: tuning reduces expensive allocation calls to the kernel.
 		uops /= 8
 	}
-	c.Meter.AddUops("kernel_alloc", sim.CatKernel, uops)
+	c.Meter.AddUops(fnKernelAlloc, sim.CatKernel, uops)
 }
 
 func (o *heapObs) OnHuge(size int) {
@@ -221,7 +229,7 @@ func (o *heapObs) OnHuge(size int) {
 	if c.Meter.Mit.TunedAllocator {
 		uops /= 8
 	}
-	c.Meter.AddUops("kernel_alloc", sim.CatKernel, uops)
+	c.Meter.AddUops(fnKernelAlloc, sim.CatKernel, uops)
 }
 
 type strObs CPU
@@ -241,5 +249,5 @@ func (o *regexObs) OnScan(n int) {
 func (o *regexObs) OnCompile(states int) {
 	c := (*CPU)(o)
 	m := &c.Meter.Model
-	c.Meter.AddUops("pcre_compile", sim.CatRegex, m.RegexCompileFixed+m.RegexCompilePerState*float64(states))
+	c.Meter.AddUops(fnPCRECompile, sim.CatRegex, m.RegexCompileFixed+m.RegexCompilePerState*float64(states))
 }

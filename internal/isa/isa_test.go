@@ -35,20 +35,20 @@ func TestHashOpsEquivalentAcrossCores(t *testing.T) {
 		var log []string
 		for i := 0; i < 50; i++ {
 			k := hashmap.StrKey(fmt.Sprintf("key%d", i%17))
-			c.HashSet("wp_set", m, k, i, false)
-			if v, ok := c.HashGet("wp_get", m, k, false); ok {
+			c.HashSet(sim.Intern("wp_set"), m, k, i, false)
+			if v, ok := c.HashGet(sim.Intern("wp_get"), m, k, false); ok {
 				log = append(log, fmt.Sprint(v))
 			}
 		}
-		c.HashForeach("wp_each", m, func(k hashmap.Key, v interface{}) bool {
+		c.HashForeach(sim.Intern("wp_each"), m, func(k hashmap.Key, v interface{}) bool {
 			log = append(log, fmt.Sprintf("%s=%v", k, v))
 			return true
 		})
-		c.HashDelete("wp_del", m, hashmap.StrKey("key3"))
-		if _, ok := c.HashGet("wp_get", m, hashmap.StrKey("key3"), false); ok {
+		c.HashDelete(sim.Intern("wp_del"), m, hashmap.StrKey("key3"))
+		if _, ok := c.HashGet(sim.Intern("wp_get"), m, hashmap.StrKey("key3"), false); ok {
 			log = append(log, "DELETED-KEY-VISIBLE")
 		}
-		c.HashFree("wp_free", m)
+		c.HashFree(sim.Intern("wp_free"), m)
 		return log
 	}
 	sw := run(newCPU(Features{}))
@@ -65,9 +65,9 @@ func TestHashAccelerationReducesUops(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			k := hashmap.StrKey(fmt.Sprintf("k%d", rng.Intn(20)))
 			if rng.Intn(5) == 0 {
-				c.HashSet("f", m, k, i, false)
+				c.HashSet(sim.Intern("f"), m, k, i, false)
 			} else {
-				c.HashGet("f", m, k, false)
+				c.HashGet(sim.Intern("f"), m, k, false)
 			}
 		}
 		return c.Meter.TotalCycles()
@@ -83,8 +83,8 @@ func TestInlineCachingShortCircuitsStaticKeys(t *testing.T) {
 	c := newCPU(Features{})
 	c.Meter.Mit = sim.AllMitigations()
 	m := c.NewMap()
-	c.HashSet("f", m, hashmap.StrKey("static_prop"), 1, true)
-	c.HashGet("f", m, hashmap.StrKey("static_prop"), true)
+	c.HashSet(sim.Intern("f"), m, hashmap.StrKey("static_prop"), 1, true)
+	c.HashGet(sim.Intern("f"), m, hashmap.StrKey("static_prop"), true)
 	total := c.Meter.TotalUops()
 	want := 2 * c.Meter.Model.ICHitUops
 	if total != want {
@@ -98,10 +98,10 @@ func TestHeapOpsEquivalentAndCheaper(t *testing.T) {
 		var live []heap.Block
 		for i := 0; i < 5000; i++ {
 			if len(live) < 16 || rng.Intn(2) == 0 {
-				live = append(live, c.Malloc("smart_malloc", 16+rng.Intn(8)*16))
+				live = append(live, c.Malloc(sim.Intern("smart_malloc"), 16+rng.Intn(8)*16))
 			} else {
 				j := rng.Intn(len(live))
-				c.Free("smart_free", live[j])
+				c.Free(sim.Intern("smart_free"), live[j])
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
 			}
@@ -119,15 +119,15 @@ func TestStringOpsEquivalentAcrossCores(t *testing.T) {
 	subject := []byte(`The <b>quick</b> "brown" fox's   tail `)
 	run := func(c *CPU) string {
 		var sb strings.Builder
-		sb.Write(c.StrToUpper("f", subject))
-		sb.Write(c.StrToLower("f", subject))
-		sb.Write(c.StrHTMLEscape("f", subject))
-		sb.Write(c.StrTrim("f", subject))
-		sb.Write(c.StrReplace("f", subject, []byte("fox"), []byte("wolf")))
-		sb.Write(c.StrTranslate("f", subject, []byte("aeiou"), []byte("AEIOU")))
-		fmt.Fprint(&sb, c.StrFind("f", subject, []byte("brown")))
-		fmt.Fprint(&sb, c.StrCompare("f", subject, []byte("The")))
-		sb.Write(c.StrConcat("f", subject, []byte("!")))
+		sb.Write(c.StrToUpper(sim.Intern("f"), subject))
+		sb.Write(c.StrToLower(sim.Intern("f"), subject))
+		sb.Write(c.StrHTMLEscape(sim.Intern("f"), subject))
+		sb.Write(c.StrTrim(sim.Intern("f"), subject))
+		sb.Write(c.StrReplace(sim.Intern("f"), subject, []byte("fox"), []byte("wolf")))
+		sb.Write(c.StrTranslate(sim.Intern("f"), subject, []byte("aeiou"), []byte("AEIOU")))
+		fmt.Fprint(&sb, c.StrFind(sim.Intern("f"), subject, []byte("brown")))
+		fmt.Fprint(&sb, c.StrCompare(sim.Intern("f"), subject, []byte("The")))
+		sb.Write(c.StrConcat(sim.Intern("f"), subject, []byte("!")))
 		return sb.String()
 	}
 	sw := run(newCPU(Features{}))
@@ -141,8 +141,8 @@ func TestStringAccelerationReducesCycles(t *testing.T) {
 	subject := []byte(strings.Repeat("plain text without anything special ", 300))
 	run := func(c *CPU) float64 {
 		for i := 0; i < 50; i++ {
-			c.StrToUpper("f", subject)
-			c.StrFind("f", subject, []byte("needle"))
+			c.StrToUpper(sim.Intern("f"), subject)
+			c.StrFind(sim.Intern("f"), subject, []byte("needle"))
 		}
 		return c.Meter.TotalCycles()
 	}
@@ -159,16 +159,16 @@ func TestRegexSieveShadowEquivalence(t *testing.T) {
 	hwCPU := newCPU(AllAccelerators())
 
 	for _, c := range []*CPU{swCPU, hwCPU} {
-		sieve, err := c.RegexCompile("pcre", `<`)
+		sieve, err := c.RegexCompile(sim.Intern("pcre"), `<`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shadow, err := c.RegexCompile("pcre", `'`)
+		shadow, err := c.RegexCompile(sim.Intern("pcre"), `'`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, hv := c.RegexSieve("f", sieve, content)
-		ms2 := c.RegexShadow("f", shadow, content, hv)
+		ms, hv := c.RegexSieve(sim.Intern("f"), sieve, content)
+		ms2 := c.RegexShadow(sim.Intern("f"), shadow, content, hv)
 		want := sieve.FindAll(content)
 		if fmt.Sprint(ms) != fmt.Sprint(want) {
 			t.Errorf("sieve matches differ from plain scan")
@@ -183,13 +183,13 @@ func TestRegexSieveShadowEquivalence(t *testing.T) {
 func TestRegexReuseReducesUops(t *testing.T) {
 	pattern := `https://[a-z]+/\?author=[a-z0-9]+`
 	run := func(c *CPU) float64 {
-		re, err := c.RegexCompile("pcre", pattern)
+		re, err := c.RegexCompile(sim.Intern("pcre"), pattern)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 500; i++ {
 			url := []byte(fmt.Sprintf("https://localhost/?author=name%d", i%10))
-			if end := c.RegexScanReuse("f", re, 0x400, url); end != len(url) {
+			if end := c.RegexScanReuse(sim.Intern("f"), re, 0x400, url); end != len(url) {
 				t.Fatalf("scan end = %d, want %d", end, len(url))
 			}
 		}
@@ -205,9 +205,9 @@ func TestRegexReuseReducesUops(t *testing.T) {
 func TestContextSwitchProtocol(t *testing.T) {
 	c := newCPU(AllAccelerators())
 	m := c.NewMap()
-	c.HashSet("f", m, hashmap.StrKey("pending"), 1, false)
-	b := c.Malloc("f", 64)
-	c.Free("f", b)
+	c.HashSet(sim.Intern("f"), m, hashmap.StrKey("pending"), 1, false)
+	b := c.Malloc(sim.Intern("f"), 64)
+	c.Free(sim.Intern("f"), b)
 
 	c.ContextSwitch()
 
@@ -227,7 +227,7 @@ func TestContextSwitchProtocol(t *testing.T) {
 		t.Errorf("string accelerator config not saved/restored")
 	}
 	// Post-switch operation still works.
-	if v, ok := c.HashGet("f", m, hashmap.StrKey("pending"), false); !ok || v != 1 {
+	if v, ok := c.HashGet(sim.Intern("f"), m, hashmap.StrKey("pending"), false); !ok || v != 1 {
 		t.Errorf("post-switch access broken: %v %v", v, ok)
 	}
 }
@@ -240,9 +240,9 @@ func TestMitigationsReduceBaseline(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			c.AddRefCount(3)
 			c.AddTypeCheck(2)
-			c.HashGet("f", m, hashmap.StrKey("config_option"), true)
-			b := c.Malloc("f", 64)
-			c.Free("f", b)
+			c.HashGet(sim.Intern("f"), m, hashmap.StrKey("config_option"), true)
+			b := c.Malloc(sim.Intern("f"), 64)
+			c.Free(sim.Intern("f"), b)
 		}
 		return c.Meter.TotalCycles()
 	}
@@ -256,10 +256,10 @@ func TestMitigationsReduceBaseline(t *testing.T) {
 func TestAccelAttributionLandsInRightCategory(t *testing.T) {
 	c := newCPU(AllAccelerators())
 	m := c.NewMap()
-	c.HashSet("f", m, hashmap.StrKey("k"), 1, false)
-	b := c.Malloc("g", 32)
-	c.Free("g", b)
-	c.StrToUpper("h", []byte("abc"))
+	c.HashSet(sim.Intern("f"), m, hashmap.StrKey("k"), 1, false)
+	b := c.Malloc(sim.Intern("g"), 32)
+	c.Free(sim.Intern("g"), b)
+	c.StrToUpper(sim.Intern("h"), []byte("abc"))
 
 	cc := c.Meter.CategoryCycles()
 	if cc[sim.CatHash] == 0 || cc[sim.CatHeap] == 0 || cc[sim.CatString] == 0 {

@@ -19,7 +19,7 @@ type HV = regexaccel.HV
 // inlining (§3) specialize to offset accesses when that mitigation is on;
 // dynamic-key accesses cannot be specialized and are where the hardware
 // hash table earns its keep.
-func (c *CPU) HashGet(fn string, m *hashmap.Map, k hashmap.Key, static bool) (interface{}, bool) {
+func (c *CPU) HashGet(fn sim.Fn, m *hashmap.Map, k hashmap.Key, static bool) (interface{}, bool) {
 	c.at(fn, sim.CatHash)
 	if static && c.Meter.Mit.InlineCaching {
 		// IC/HMI-specialized access: a type-checked offset access. The
@@ -52,7 +52,7 @@ func (c *CPU) HashGet(fn string, m *hashmap.Map, k hashmap.Key, static bool) (in
 }
 
 // HashSet performs a hash map store attributed to fn.
-func (c *CPU) HashSet(fn string, m *hashmap.Map, k hashmap.Key, v interface{}, static bool) {
+func (c *CPU) HashSet(fn sim.Fn, m *hashmap.Map, k hashmap.Key, v interface{}, static bool) {
 	c.at(fn, sim.CatHash)
 	if static && c.Meter.Mit.InlineCaching {
 		c.mute = true
@@ -83,7 +83,7 @@ func (c *CPU) HashSet(fn string, m *hashmap.Map, k hashmap.Key, v interface{}, s
 }
 
 // HashDelete removes a key (PHP unset).
-func (c *CPU) HashDelete(fn string, m *hashmap.Map, k hashmap.Key) bool {
+func (c *CPU) HashDelete(fn sim.Fn, m *hashmap.Map, k hashmap.Key) bool {
 	c.at(fn, sim.CatHash)
 	if c.HT != nil {
 		mdl := &c.Meter.Model
@@ -94,7 +94,7 @@ func (c *CPU) HashDelete(fn string, m *hashmap.Map, k hashmap.Key) bool {
 }
 
 // HashForeach iterates the map in insertion order.
-func (c *CPU) HashForeach(fn string, m *hashmap.Map, f func(k hashmap.Key, v interface{}) bool) {
+func (c *CPU) HashForeach(fn sim.Fn, m *hashmap.Map, f func(k hashmap.Key, v interface{}) bool) {
 	c.at(fn, sim.CatHash)
 	if c.HT != nil {
 		mdl := &c.Meter.Model
@@ -111,7 +111,7 @@ func (c *CPU) HashForeach(fn string, m *hashmap.Map, f func(k hashmap.Key, v int
 // truthiness). With the hardware table present, buffered SET inserts
 // have not reached the software size field yet, so the read first
 // flushes the map's dirty pairs.
-func (c *CPU) HashSize(fn string, m *hashmap.Map) int {
+func (c *CPU) HashSize(fn sim.Fn, m *hashmap.Map) int {
 	c.at(fn, sim.CatHash)
 	if c.HT != nil {
 		mdl := &c.Meter.Model
@@ -125,7 +125,7 @@ func (c *CPU) HashSize(fn string, m *hashmap.Map) int {
 // HashFree deallocates a hash map (the map structure itself is freed by
 // software; the accelerator just invalidates its entries through the
 // RTT).
-func (c *CPU) HashFree(fn string, m *hashmap.Map) {
+func (c *CPU) HashFree(fn sim.Fn, m *hashmap.Map) {
 	c.at(fn, sim.CatHash)
 	if c.HT != nil {
 		res := c.HT.Free(m)
@@ -142,7 +142,7 @@ func (c *CPU) HashFree(fn string, m *hashmap.Map) {
 // accelerator flushes and invalidates everything it holds for the map
 // (§4.2), after which any software reader sees the up-to-date ordered
 // table.
-func (c *CPU) RemoteCoherence(fn string, m *hashmap.Map) {
+func (c *CPU) RemoteCoherence(fn sim.Fn, m *hashmap.Map) {
 	c.at(fn, sim.CatHash)
 	if c.HT == nil {
 		return
@@ -156,7 +156,7 @@ func (c *CPU) RemoteCoherence(fn string, m *hashmap.Map) {
 // --- Heap manager instructions (§4.3, §4.6) ---
 
 // Malloc allocates size bytes attributed to fn.
-func (c *CPU) Malloc(fn string, size int) heap.Block {
+func (c *CPU) Malloc(fn sim.Fn, size int) heap.Block {
 	c.at(fn, sim.CatHeap)
 	if c.HM != nil {
 		mdl := &c.Meter.Model
@@ -176,7 +176,7 @@ func (c *CPU) Malloc(fn string, size int) heap.Block {
 }
 
 // Free releases a block attributed to fn.
-func (c *CPU) Free(fn string, b heap.Block) {
+func (c *CPU) Free(fn sim.Fn, b heap.Block) {
 	c.at(fn, sim.CatHeap)
 	if c.HM != nil {
 		mdl := &c.Meter.Model
@@ -197,7 +197,7 @@ func (c *CPU) Free(fn string, b heap.Block) {
 
 // saDelta runs an accelerated string operation and charges its datapath
 // cycles from the accelerator's block counter delta.
-func (c *CPU) saDelta(fn string, run func()) {
+func (c *CPU) saDelta(fn sim.Fn, run func()) {
 	mdl := &c.Meter.Model
 	before := c.SA.Stats().Blocks
 	run()
@@ -207,7 +207,7 @@ func (c *CPU) saDelta(fn string, run func()) {
 }
 
 // StrFind locates pattern in subject (stringop[find]).
-func (c *CPU) StrFind(fn string, subject, pattern []byte) int {
+func (c *CPU) StrFind(fn sim.Fn, subject, pattern []byte) int {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var pos int
@@ -222,7 +222,7 @@ func (c *CPU) StrFind(fn string, subject, pattern []byte) int {
 }
 
 // StrReplace substitutes old with new (stringop[replace]).
-func (c *CPU) StrReplace(fn string, subject, old, new []byte) []byte {
+func (c *CPU) StrReplace(fn sim.Fn, subject, old, new []byte) []byte {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var out []byte
@@ -238,7 +238,7 @@ func (c *CPU) StrReplace(fn string, subject, old, new []byte) []byte {
 }
 
 // StrCompare compares two strings (stringop[compare]).
-func (c *CPU) StrCompare(fn string, a, b []byte) int {
+func (c *CPU) StrCompare(fn sim.Fn, a, b []byte) int {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var r int
@@ -250,7 +250,7 @@ func (c *CPU) StrCompare(fn string, a, b []byte) int {
 
 // StrToUpper upper-cases subject (stringop[toupper], a complex function
 // configured via strreadconfig).
-func (c *CPU) StrToUpper(fn string, subject []byte) []byte {
+func (c *CPU) StrToUpper(fn sim.Fn, subject []byte) []byte {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var out []byte
@@ -261,7 +261,7 @@ func (c *CPU) StrToUpper(fn string, subject []byte) []byte {
 }
 
 // StrToLower lower-cases subject (stringop[tolower]).
-func (c *CPU) StrToLower(fn string, subject []byte) []byte {
+func (c *CPU) StrToLower(fn sim.Fn, subject []byte) []byte {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var out []byte
@@ -272,7 +272,7 @@ func (c *CPU) StrToLower(fn string, subject []byte) []byte {
 }
 
 // StrTranslate maps characters through from/to tables (stringop[translate]).
-func (c *CPU) StrTranslate(fn string, subject, from, to []byte) []byte {
+func (c *CPU) StrTranslate(fn sim.Fn, subject, from, to []byte) []byte {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var out []byte
@@ -287,7 +287,7 @@ func (c *CPU) StrTranslate(fn string, subject, from, to []byte) []byte {
 }
 
 // StrTrim strips default whitespace (stringop[trim]).
-func (c *CPU) StrTrim(fn string, subject []byte) []byte {
+func (c *CPU) StrTrim(fn sim.Fn, subject []byte) []byte {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var out []byte
@@ -298,7 +298,7 @@ func (c *CPU) StrTrim(fn string, subject []byte) []byte {
 }
 
 // StrNL2BR inserts HTML line breaks (stringop[nl2br]).
-func (c *CPU) StrNL2BR(fn string, subject []byte) []byte {
+func (c *CPU) StrNL2BR(fn sim.Fn, subject []byte) []byte {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var out []byte
@@ -309,7 +309,7 @@ func (c *CPU) StrNL2BR(fn string, subject []byte) []byte {
 }
 
 // StrAddSlashes backslash-escapes quotes (stringop[addslashes]).
-func (c *CPU) StrAddSlashes(fn string, subject []byte) []byte {
+func (c *CPU) StrAddSlashes(fn sim.Fn, subject []byte) []byte {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var out []byte
@@ -320,7 +320,7 @@ func (c *CPU) StrAddSlashes(fn string, subject []byte) []byte {
 }
 
 // StrHTMLEscape escapes HTML metacharacters (stringop[htmlspecialchars]).
-func (c *CPU) StrHTMLEscape(fn string, subject []byte) []byte {
+func (c *CPU) StrHTMLEscape(fn sim.Fn, subject []byte) []byte {
 	c.at(fn, sim.CatString)
 	if c.SA != nil {
 		var out []byte
@@ -331,7 +331,7 @@ func (c *CPU) StrHTMLEscape(fn string, subject []byte) []byte {
 }
 
 // StrConcat joins parts; pure data movement stays on the core.
-func (c *CPU) StrConcat(fn string, parts ...[]byte) []byte {
+func (c *CPU) StrConcat(fn sim.Fn, parts ...[]byte) []byte {
 	c.at(fn, sim.CatString)
 	return c.Lib.Concat(parts...)
 }
@@ -339,26 +339,26 @@ func (c *CPU) StrConcat(fn string, parts ...[]byte) []byte {
 // --- Regexp instructions (§4.5, §4.6) ---
 
 // RegexCompile compiles a pattern with compile cost attribution.
-func (c *CPU) RegexCompile(fn, pattern string) (*regex.Regex, error) {
+func (c *CPU) RegexCompile(fn sim.Fn, pattern string) (*regex.Regex, error) {
 	c.at(fn, sim.CatRegex)
 	return regex.CompileObserved(pattern, (*regexObs)(c))
 }
 
 // RegexFindAll is the plain PCRE-style scan (no acceleration).
-func (c *CPU) RegexFindAll(fn string, re *regex.Regex, content []byte) []regex.MatchRange {
+func (c *CPU) RegexFindAll(fn sim.Fn, re *regex.Regex, content []byte) []regex.MatchRange {
 	c.at(fn, sim.CatRegex)
 	return re.FindAll(content)
 }
 
 // RegexReplaceAll is the plain PCRE-style replace.
-func (c *CPU) RegexReplaceAll(fn string, re *regex.Regex, content, repl []byte) ([]byte, int) {
+func (c *CPU) RegexReplaceAll(fn sim.Fn, re *regex.Regex, content, repl []byte) ([]byte, int) {
 	c.at(fn, sim.CatRegex)
 	return re.ReplaceAll(content, repl)
 }
 
 // RegexSieve runs the sieve regexp: a full scan plus HV generation
 // through the string accelerator (regexp_sieve).
-func (c *CPU) RegexSieve(fn string, re *regex.Regex, content []byte) ([]regex.MatchRange, *HV) {
+func (c *CPU) RegexSieve(fn sim.Fn, re *regex.Regex, content []byte) ([]regex.MatchRange, *HV) {
 	c.at(fn, sim.CatRegex)
 	if c.RA == nil {
 		return re.FindAll(content), nil
@@ -380,7 +380,7 @@ func (c *CPU) RegexSieve(fn string, re *regex.Regex, content []byte) ([]regex.Ma
 // single hardware-assisted pass, so the software per-call overhead is
 // charged once over the bytes actually examined, not once per candidate
 // window.
-func (c *CPU) RegexShadow(fn string, re *regex.Regex, content []byte, hv *HV) []regex.MatchRange {
+func (c *CPU) RegexShadow(fn sim.Fn, re *regex.Regex, content []byte, hv *HV) []regex.MatchRange {
 	c.at(fn, sim.CatRegex)
 	if c.RA == nil || hv == nil {
 		return re.FindAll(content)
@@ -396,7 +396,7 @@ func (c *CPU) RegexShadow(fn string, re *regex.Regex, content []byte, hv *HV) []
 
 // RegexShadowReplace replaces matches under the HV with whitespace
 // padding, returning the new content and HV.
-func (c *CPU) RegexShadowReplace(fn string, re *regex.Regex, content, repl []byte, hv *HV) ([]byte, *HV, int) {
+func (c *CPU) RegexShadowReplace(fn sim.Fn, re *regex.Regex, content, repl []byte, hv *HV) ([]byte, *HV, int) {
 	c.at(fn, sim.CatRegex)
 	if c.RA == nil || hv == nil {
 		out, n := re.ReplaceAll(content, repl)
@@ -416,7 +416,7 @@ func (c *CPU) RegexShadowReplace(fn string, re *regex.Regex, content, repl []byt
 // RegexScanReuse performs an anchored traversal through the content reuse
 // table (regexlookup/regexset). It returns the longest accepted prefix
 // end, or -1.
-func (c *CPU) RegexScanReuse(fn string, re *regex.Regex, pc uint64, content []byte) int {
+func (c *CPU) RegexScanReuse(fn sim.Fn, re *regex.Regex, pc uint64, content []byte) int {
 	c.at(fn, sim.CatRegex)
 	mdl := &c.Meter.Model
 	if c.RA == nil {
@@ -430,7 +430,7 @@ func (c *CPU) RegexScanReuse(fn string, re *regex.Regex, pc uint64, content []by
 }
 
 // chargeHVConsult charges the CLZ stepping over the hint vector words.
-func (c *CPU) chargeHVConsult(fn string, contentLen int) {
+func (c *CPU) chargeHVConsult(fn sim.Fn, contentLen int) {
 	segs := (contentLen + c.RA.Config().SegSize - 1) / c.RA.Config().SegSize
 	words := float64(segs+63) / 64
 	c.Meter.AddAccel(fn, sim.CatRegex, sim.AccelRegex, words*c.Meter.Model.HVWordCycles)
@@ -471,15 +471,15 @@ func (c *CPU) ContextSwitch() {
 	mdl := &c.Meter.Model
 	if c.HT != nil {
 		written := c.HT.FlushAll()
-		c.Meter.AddUops("context_switch", sim.CatOther, float64(written)*mdl.HTWritebackUops)
+		c.Meter.AddUops(fnContextSwitch, sim.CatOther, float64(written)*mdl.HTWritebackUops)
 	}
 	if c.HM != nil {
 		flushed := c.HM.Flush()
-		c.Meter.AddUops("context_switch", sim.CatOther, float64(flushed)*mdl.FlushPerEntryUops)
+		c.Meter.AddUops(fnContextSwitch, sim.CatOther, float64(flushed)*mdl.FlushPerEntryUops)
 	}
 	if c.SA != nil {
 		cfg := c.SA.SaveConfig()
 		c.SA.LoadConfig(cfg)
-		c.Meter.AddUops("context_switch", sim.CatOther, 16)
+		c.Meter.AddUops(fnContextSwitch, sim.CatOther, 16)
 	}
 }

@@ -18,7 +18,7 @@ import (
 func chargedMeter() (*sim.Meter, func(cat sim.Category, uops float64)) {
 	mt := sim.NewMeter(sim.DefaultCostModel())
 	return mt, func(cat sim.Category, uops float64) {
-		mt.AddUops("test_fn", cat, uops)
+		mt.AddUops(sim.Intern("test_fn"), cat, uops)
 	}
 }
 

@@ -1,5 +1,7 @@
 package php
 
+import "repro/internal/sim"
+
 // AST node types. Statements and expressions are separate interfaces so
 // the interpreter can switch exhaustively over each.
 
@@ -60,6 +62,7 @@ type foreachStmt struct {
 // funcDecl declares a user function.
 type funcDecl struct {
 	name   string
+	fn     sim.Fn // name interned for cost attribution
 	params []string
 	body   []stmt
 	line   int

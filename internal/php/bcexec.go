@@ -146,11 +146,11 @@ func (in *Interp) bcCall(fn *compiledFn, args []interface{}) (interface{}, error
 // arrays freed at teardown.
 func (in *Interp) bcRunMain() ([]byte, error) {
 	in.rt.BeginRequest()
-	in.ob = in.rt.NewOutputBuffer("php_main")
+	in.ob = in.rt.NewOutputBuffer(fnPHPMain)
 	in.owned = in.owned[:0]
 	defer func() {
 		for _, a := range in.owned {
-			in.rt.FreeArray("php_main", a)
+			in.rt.FreeArray(fnPHPMain, a)
 		}
 		in.owned = in.owned[:0]
 	}()
@@ -190,12 +190,12 @@ func (in *Interp) bcRunMain() ([]byte, error) {
 // charge differs (one batched CatOther flush per activation).
 func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface{}, err error) {
 	m := in.bc
-	f := frame{fn: fn.name}
+	f := frame{fn: fn.fn}
 	code := fn.code
 	ni := 0
 	extra := 0.0
 	defer func() {
-		in.rt.Meter().AddUops(fn.name, sim.CatOther, bcCallEntryUops+float64(ni)*bcUopsPerInstr+extra)
+		in.rt.Meter().AddUops(fn.fn, sim.CatOther, bcCallEntryUops+float64(ni)*bcUopsPerInstr+extra)
 	}()
 	for pc := 0; pc < len(code); pc++ {
 		ins := code[pc]
@@ -498,7 +498,7 @@ func (in *Interp) bcExec(fn *compiledFn, sbase, lbase, ibase int) (ret interface
 				break
 			}
 			count := int64(0)
-			in.rt.AForeach("extract", arr, func(k hashmap.Key, v interface{}) bool {
+			in.rt.AForeach(fnExtract, arr, func(k hashmap.Key, v interface{}) bool {
 				if !k.IsInt {
 					if s, ok := fn.slotOf[k.Str]; ok {
 						m.slots[sbase+int(s)] = v

@@ -79,7 +79,7 @@ func (in *Interp) evalCall(n *callExpr, f *frame) (interface{}, error) {
 			return int64(0), nil
 		}
 		count := int64(0)
-		in.rt.AForeach("extract", arr, func(k hashmap.Key, v interface{}) bool {
+		in.rt.AForeach(fnExtract, arr, func(k hashmap.Key, v interface{}) bool {
 			if !k.IsInt {
 				f.vars[k.Str] = v
 				count++
@@ -366,7 +366,7 @@ var builtins = map[string]builtinFn{
 			return false, nil
 		}
 		k := toKey(args[0])
-		_, found := in.rt.AGet("array_key_exists", arr, k, true)
+		_, found := in.rt.AGet(fnArrayKeyExists, arr, k, true)
 		return found, nil
 	},
 	"in_array": func(in *Interp, f *frame, n *callExpr, args []interface{}) (interface{}, error) {
@@ -500,7 +500,7 @@ func (in *Interp) compilePattern(pat string, line int) (*regexHandle, error) {
 			return nil, fmt.Errorf("php: line %d: unsupported pattern flag %q", line, fl)
 		}
 	}
-	return in.rt.Regex("pcre_compile", body)
+	return in.rt.Regex(fnPCRECompile, body)
 }
 
 // regexHandle aliases the engine's compiled pattern type.

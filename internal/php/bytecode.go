@@ -1,5 +1,7 @@
 package php
 
+import "repro/internal/sim"
+
 // The bytecode tier compiles the parsed AST into a compact opcode
 // stream executed by a stack machine (bcexec.go). The motivation is the
 // paper's §3 "future core" baseline: a profile-guided runtime that
@@ -107,6 +109,7 @@ type callSite struct {
 // the Interp.
 type compiledFn struct {
 	name   string
+	fn     sim.Fn    // name interned for cost attribution
 	decl   *funcDecl // nil for main
 	params []int32   // slot index per declared parameter
 	nSlots int

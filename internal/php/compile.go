@@ -3,6 +3,8 @@ package php
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/sim"
 )
 
 // Compile lowers a parsed program to bytecode. The result is immutable
@@ -67,7 +69,7 @@ type loopFrame struct {
 }
 
 func compileBody(c *Compiled, prog *Program, name string, decl *funcDecl, params []string, body []stmt) (*compiledFn, error) {
-	fn := &compiledFn{name: name, decl: decl, slotOf: map[string]int32{}}
+	fn := &compiledFn{name: name, fn: sim.Intern(name), decl: decl, slotOf: map[string]int32{}}
 	fc := &fnc{c: c, prog: prog, fn: fn}
 	for _, p := range params {
 		fn.params = append(fn.params, fc.slot(p))

@@ -51,8 +51,16 @@ type Interp struct {
 // like extract() touch hash maps.
 type frame struct {
 	vars map[string]interface{}
-	fn   string
+	fn   sim.Fn
 }
+
+// Leaf functions the interpreter charges by fixed name, interned once.
+var (
+	fnPHPMain        = sim.Intern("php_main")
+	fnExtract        = sim.Intern("extract")
+	fnArrayKeyExists = sim.Intern("array_key_exists")
+	fnPCRECompile    = sim.Intern("pcre_compile")
+)
 
 // control is the non-local exit signal used for return/break/continue.
 type control struct {
@@ -97,8 +105,8 @@ func (in *Interp) Run() ([]byte, error) {
 		}
 	}
 	in.rt.BeginRequest()
-	in.ob = in.rt.NewOutputBuffer("php_main")
-	in.globals = frame{vars: map[string]interface{}{}, fn: "php_main"}
+	in.ob = in.rt.NewOutputBuffer(fnPHPMain)
+	in.globals = frame{vars: map[string]interface{}{}, fn: fnPHPMain}
 	for k, v := range in.preset {
 		in.globals.vars[k] = v
 	}
@@ -615,7 +623,7 @@ func (in *Interp) callUser(fd *funcDecl, args []interface{}) (interface{}, error
 		defer in.rt.EndSpan()
 	}
 
-	local := frame{vars: map[string]interface{}{}, fn: fd.name}
+	local := frame{vars: map[string]interface{}{}, fn: fd.fn}
 	for i, p := range fd.params {
 		if i < len(args) {
 			local.vars[p] = args[i]

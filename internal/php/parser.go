@@ -3,6 +3,8 @@ package php
 import (
 	"fmt"
 	"strconv"
+
+	"repro/internal/sim"
 )
 
 // parser is a recursive-descent parser over the token stream.
@@ -330,7 +332,7 @@ func (p *parser) functionDecl() (stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &funcDecl{name: name.text, params: params, body: body, line: line}, nil
+	return &funcDecl{name: name.text, fn: sim.Intern(name.text), params: params, body: body, line: line}, nil
 }
 
 // --- Expressions, precedence climbing ---

@@ -23,7 +23,7 @@ func chargeMeter(mt *sim.Meter, charges map[string]float64) {
 		if n, ok := strings.CutPrefix(name, "hash:"); ok {
 			name, cat = n, sim.CatHash
 		}
-		mt.AddUops(name, cat, uops)
+		mt.AddUops(sim.Intern(name), cat, uops)
 	}
 }
 

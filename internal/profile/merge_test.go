@@ -9,10 +9,10 @@ import (
 
 // chargeLoad charges a deterministic slice of work to a meter.
 func chargeLoad(mt *sim.Meter, scale float64) {
-	mt.AddUops("zend_hash_find", sim.CatHash, 4000*scale)
-	mt.AddUops("_emalloc", sim.CatHeap, 3000*scale)
-	mt.AddUops("texturize", sim.CatString, 2000*scale)
-	mt.AddUops("app_code", sim.CatOther, 1000*scale)
+	mt.AddUops(sim.Intern("zend_hash_find"), sim.CatHash, 4000*scale)
+	mt.AddUops(sim.Intern("_emalloc"), sim.CatHeap, 3000*scale)
+	mt.AddUops(sim.Intern("texturize"), sim.CatString, 2000*scale)
+	mt.AddUops(sim.Intern("app_code"), sim.CatOther, 1000*scale)
 }
 
 // TestMergeEqualsCombinedLoad: merging per-backend profiles must equal

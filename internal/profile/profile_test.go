@@ -12,7 +12,7 @@ import (
 func meterWith(fracs map[string]float64) *sim.Meter {
 	mt := sim.NewMeter(sim.DefaultCostModel())
 	for name, share := range fracs {
-		mt.AddUops(name, sim.CatOther, share*1000)
+		mt.AddUops(sim.Intern(name), sim.CatOther, share*1000)
 	}
 	return mt
 }
@@ -65,9 +65,9 @@ func TestCDF(t *testing.T) {
 
 func TestCategoryShares(t *testing.T) {
 	mt := sim.NewMeter(sim.DefaultCostModel())
-	mt.AddUops("h1", sim.CatHash, 300)
-	mt.AddUops("h2", sim.CatHash, 100)
-	mt.AddUops("s1", sim.CatString, 600)
+	mt.AddUops(sim.Intern("h1"), sim.CatHash, 300)
+	mt.AddUops(sim.Intern("h2"), sim.CatHash, 100)
+	mt.AddUops(sim.Intern("s1"), sim.CatString, 600)
 	p := FromMeter(mt)
 	cs := p.CategoryShares()
 	if math.Abs(cs[sim.CatHash]-0.4) > 1e-9 || math.Abs(cs[sim.CatString]-0.6) > 1e-9 {
@@ -120,13 +120,13 @@ func TestFlatVsHotspotShape(t *testing.T) {
 	// many more functions to reach 65% than a hotspotted one.
 	flat := sim.NewMeter(sim.DefaultCostModel())
 	for i := 0; i < 200; i++ {
-		flat.AddUops(fmt.Sprintf("f%03d", i), sim.CatOther, 10)
+		flat.AddUops(sim.Intern(fmt.Sprintf("f%03d", i)), sim.CatOther, 10)
 	}
 	hot := sim.NewMeter(sim.DefaultCostModel())
-	hot.AddUops("hot1", sim.CatOther, 800)
-	hot.AddUops("hot2", sim.CatOther, 100)
+	hot.AddUops(sim.Intern("hot1"), sim.CatOther, 800)
+	hot.AddUops(sim.Intern("hot2"), sim.CatOther, 100)
 	for i := 0; i < 50; i++ {
-		hot.AddUops(fmt.Sprintf("cold%02d", i), sim.CatOther, 2)
+		hot.AddUops(sim.Intern(fmt.Sprintf("cold%02d", i)), sim.CatOther, 2)
 	}
 	fp, hp := FromMeter(flat), FromMeter(hot)
 	if fp.FuncsForFrac(0.65) < 50 {

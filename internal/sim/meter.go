@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,14 +62,20 @@ type Meter struct {
 	Model CostModel
 	Mit   Mitigations
 
-	fns map[fnKey]*FnStats
+	// rows holds one row per (leaf function, category) at index
+	// rowIndex(fn, cat): a function that performs work in more than one
+	// activity (a VM helper that both walks a hash map and allocates)
+	// gets one row per activity, keeping the category breakdowns (Figs.
+	// 4, 5, 15) exact. A slot stays nil until its pair is first charged,
+	// so a meter holds an FnStats only for pairs it has seen.
+	rows []*FnStats
 
 	// catUops and catAccelCyc are running per-category totals maintained
 	// on every charge, so CategoryCyclesVec is O(NumCategories) instead
 	// of a walk over every leaf function. The cycle conversion is linear
 	// in uops (CostModel.Cycles), so the incremental totals are exact.
 	// Span hooks snapshot this vector twice per span, which is why it
-	// must not cost a map iteration.
+	// must not cost a row walk.
 	catUops     [numCategories]float64
 	catAccelCyc [numCategories]float64
 
@@ -77,24 +84,18 @@ type Meter struct {
 	accelCalls  [numAccelKinds]int64
 }
 
-// fnKey separates attribution by function and category: a leaf function
-// that performs work in more than one activity (a VM helper that both
-// walks a hash map and allocates) gets one row per activity, keeping the
-// category breakdowns (Figs. 4, 5, 15) exact.
-type fnKey struct {
-	name string
-	cat  Category
-}
+func rowIndex(fn Fn, cat Category) int { return int(fn)*NumCategories + int(cat) }
 
 // NewMeter returns a Meter using the given cost model.
 func NewMeter(model CostModel) *Meter {
-	return &Meter{Model: model, fns: make(map[fnKey]*FnStats)}
+	return &Meter{Model: model}
 }
 
 // Reset clears all accumulated statistics but keeps the model and
-// mitigation configuration.
+// mitigation configuration. Rows handed out by Functions before the
+// reset keep their values.
 func (mt *Meter) Reset() {
-	mt.fns = make(map[fnKey]*FnStats)
+	clear(mt.rows)
 	mt.catUops = [numCategories]float64{}
 	mt.catAccelCyc = [numCategories]float64{}
 	mt.accelCycles = [numAccelKinds]float64{}
@@ -102,13 +103,22 @@ func (mt *Meter) Reset() {
 	mt.accelCalls = [numAccelKinds]int64{}
 }
 
-func (mt *Meter) fn(name string, cat Category) *FnStats {
-	k := fnKey{name, cat}
-	f := mt.fns[k]
-	if f == nil {
-		f = &FnStats{Name: name, Category: cat}
-		mt.fns[k] = f
+// row returns the (fn, cat) row, creating it on first charge.
+func (mt *Meter) row(fn Fn, cat Category) *FnStats {
+	if i := rowIndex(fn, cat); i < len(mt.rows) && mt.rows[i] != nil {
+		return mt.rows[i]
 	}
+	return mt.newRow(fn, cat)
+}
+
+func (mt *Meter) newRow(fn Fn, cat Category) *FnStats {
+	i := rowIndex(fn, cat)
+	if i >= len(mt.rows) {
+		mt.rows = slices.Grow(mt.rows, i+1-len(mt.rows))
+		mt.rows = mt.rows[:cap(mt.rows)]
+	}
+	f := &FnStats{Name: fn.String(), Category: cat}
+	mt.rows[i] = f
 	return f
 }
 
@@ -120,8 +130,11 @@ func (mt *Meter) fn(name string, cat Category) *FnStats {
 // merge and is left unchanged; models and mitigation flags are not
 // merged (the receiver keeps its own).
 func (mt *Meter) Merge(o *Meter) {
-	for k, f := range o.fns {
-		dst := mt.fn(k.name, k.cat)
+	for i, f := range o.rows {
+		if f == nil {
+			continue
+		}
+		dst := mt.row(Fn(i/NumCategories), Category(i%NumCategories))
 		dst.Uops += f.Uops
 		dst.AccelCyc += f.AccelCyc
 		dst.AccelEng += f.AccelEng
@@ -138,18 +151,18 @@ func (mt *Meter) Merge(o *Meter) {
 	}
 }
 
-// AddUops charges uops micro-ops of core work to the named leaf function.
-func (mt *Meter) AddUops(name string, cat Category, uops float64) {
-	f := mt.fn(name, cat)
+// AddUops charges uops micro-ops of core work to leaf function fn.
+func (mt *Meter) AddUops(fn Fn, cat Category, uops float64) {
+	f := mt.row(fn, cat)
 	f.Uops += uops
 	f.Calls++
 	mt.catUops[cat] += uops
 }
 
 // AddAccel charges cycles of accelerator datapath time (and the matching
-// energy) to the named leaf function and the per-accelerator totals.
-func (mt *Meter) AddAccel(name string, cat Category, kind AccelKind, cycles float64) {
-	f := mt.fn(name, cat)
+// energy) to leaf function fn and the per-accelerator totals.
+func (mt *Meter) AddAccel(fn Fn, cat Category, kind AccelKind, cycles float64) {
+	f := mt.row(fn, cat)
 	eng := cycles * mt.Model.EnergyPerAccelCycle[kind]
 	f.AccelCyc += cycles
 	f.AccelEng += eng
@@ -160,13 +173,18 @@ func (mt *Meter) AddAccel(name string, cat Category, kind AccelKind, cycles floa
 	mt.accelCalls[kind]++
 }
 
+var (
+	fnRefCount  = Intern("refcount_helper")
+	fnTypeCheck = Intern("type_check")
+)
+
 // AddRefCount charges n reference count operations, honoring the hardware
 // reference counting mitigation.
 func (mt *Meter) AddRefCount(n int) {
 	if n <= 0 || mt.Mit.HardwareRefCount {
 		return
 	}
-	mt.AddUops("refcount_helper", CatRefCount, float64(n)*mt.Model.RefCountUops)
+	mt.AddUops(fnRefCount, CatRefCount, float64(n)*mt.Model.RefCountUops)
 }
 
 // AddTypeCheck charges n dynamic type checks, honoring the checked-load
@@ -175,14 +193,19 @@ func (mt *Meter) AddTypeCheck(n int) {
 	if n <= 0 || mt.Mit.CheckedLoad {
 		return
 	}
-	mt.AddUops("type_check", CatTypeCheck, float64(n)*mt.Model.TypeCheckUops)
+	mt.AddUops(fnTypeCheck, CatTypeCheck, float64(n)*mt.Model.TypeCheckUops)
 }
+
+// The totals below sum rows in row-index order, so repeated calls, and
+// two meters given the same charges, return bit-identical floats.
 
 // TotalUops returns the total micro-ops executed on the core.
 func (mt *Meter) TotalUops() float64 {
 	var t float64
-	for _, f := range mt.fns {
-		t += f.Uops
+	for _, f := range mt.rows {
+		if f != nil {
+			t += f.Uops
+		}
 	}
 	return t
 }
@@ -190,8 +213,10 @@ func (mt *Meter) TotalUops() float64 {
 // TotalCycles returns core cycles plus accelerator cycles.
 func (mt *Meter) TotalCycles() float64 {
 	var t float64
-	for _, f := range mt.fns {
-		t += f.Cycles(&mt.Model)
+	for _, f := range mt.rows {
+		if f != nil {
+			t += f.Cycles(&mt.Model)
+		}
 	}
 	return t
 }
@@ -199,8 +224,10 @@ func (mt *Meter) TotalCycles() float64 {
 // TotalEnergy returns total energy in picojoules.
 func (mt *Meter) TotalEnergy() float64 {
 	var t float64
-	for _, f := range mt.fns {
-		t += f.Energy(&mt.Model)
+	for _, f := range mt.rows {
+		if f != nil {
+			t += f.Energy(&mt.Model)
+		}
 	}
 	return t
 }
@@ -208,8 +235,10 @@ func (mt *Meter) TotalEnergy() float64 {
 // CategoryCycles returns the cycle total attributed to each category.
 func (mt *Meter) CategoryCycles() map[Category]float64 {
 	out := make(map[Category]float64, int(numCategories))
-	for _, f := range mt.fns {
-		out[f.Category] += f.Cycles(&mt.Model)
+	for _, f := range mt.rows {
+		if f != nil {
+			out[f.Category] += f.Cycles(&mt.Model)
+		}
 	}
 	return out
 }
@@ -248,7 +277,7 @@ func (v CategoryVec) Total() float64 {
 
 // CategoryCyclesVec returns the per-category cycle totals as a dense
 // vector. It reads the incrementally maintained per-category totals —
-// O(NumCategories), no allocation, no function-map walk — so it is
+// O(NumCategories), no allocation, no row walk — so it is
 // cheap enough to snapshot not just per request (obs.Span) but per
 // span-tree node (obs.TreeBuilder), which diffs it twice per span.
 func (mt *Meter) CategoryCyclesVec() CategoryVec {
@@ -265,18 +294,25 @@ func (mt *Meter) AccelCycles(kind AccelKind) float64 { return mt.accelCycles[kin
 // AccelCalls returns the number of invocations of the given accelerator.
 func (mt *Meter) AccelCalls(kind AccelKind) int64 { return mt.accelCalls[kind] }
 
-// Functions returns per-function statistics sorted by descending cycles.
+// Functions returns per-function statistics sorted by descending
+// cycles, then name, then category — a total order, since a meter holds
+// one row per (name, category).
 func (mt *Meter) Functions() []*FnStats {
-	out := make([]*FnStats, 0, len(mt.fns))
-	for _, f := range mt.fns {
-		out = append(out, f)
+	var out []*FnStats
+	for _, f := range mt.rows {
+		if f != nil {
+			out = append(out, f)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		ci, cj := out[i].Cycles(&mt.Model), out[j].Cycles(&mt.Model)
 		if ci != cj {
 			return ci > cj
 		}
-		return out[i].Name < out[j].Name
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Category < out[j].Category
 	})
 	return out
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -158,9 +159,9 @@ func TestCyclesIPC(t *testing.T) {
 
 func TestMeterAttribution(t *testing.T) {
 	mt := NewMeter(DefaultCostModel())
-	mt.AddUops("zend_hash_find", CatHash, 90)
-	mt.AddUops("zend_hash_find", CatHash, 90)
-	mt.AddUops("memcpy", CatString, 10)
+	mt.AddUops(Intern("zend_hash_find"), CatHash, 90)
+	mt.AddUops(Intern("zend_hash_find"), CatHash, 90)
+	mt.AddUops(Intern("memcpy"), CatString, 10)
 
 	fns := mt.Functions()
 	if len(fns) != 2 {
@@ -180,8 +181,8 @@ func TestMeterAttribution(t *testing.T) {
 
 func TestMeterAccelAccounting(t *testing.T) {
 	mt := NewMeter(DefaultCostModel())
-	mt.AddAccel("hashtableget", CatHash, AccelHashTable, 3)
-	mt.AddAccel("hashtableget", CatHash, AccelHashTable, 3)
+	mt.AddAccel(Intern("hashtableget"), CatHash, AccelHashTable, 3)
+	mt.AddAccel(Intern("hashtableget"), CatHash, AccelHashTable, 3)
 	if mt.AccelCycles(AccelHashTable) != 6 {
 		t.Errorf("AccelCycles = %v, want 6", mt.AccelCycles(AccelHashTable))
 	}
@@ -217,8 +218,8 @@ func TestMeterMitigationsSuppressOverheads(t *testing.T) {
 
 func TestMeterReset(t *testing.T) {
 	mt := NewMeter(DefaultCostModel())
-	mt.AddUops("f", CatOther, 10)
-	mt.AddAccel("g", CatHash, AccelHashTable, 2)
+	mt.AddUops(Intern("f"), CatOther, 10)
+	mt.AddAccel(Intern("g"), CatHash, AccelHashTable, 2)
 	mt.Reset()
 	if mt.TotalUops() != 0 || mt.TotalCycles() != 0 || mt.AccelCalls(AccelHashTable) != 0 {
 		t.Errorf("Reset did not clear meter")
@@ -227,7 +228,7 @@ func TestMeterReset(t *testing.T) {
 
 func TestMeterReport(t *testing.T) {
 	mt := NewMeter(DefaultCostModel())
-	mt.AddUops("f", CatHash, 100)
+	mt.AddUops(Intern("f"), CatHash, 100)
 	r := mt.Report()
 	if !strings.Contains(r, "hash") || !strings.Contains(r, "total cycles") {
 		t.Errorf("report missing fields:\n%s", r)
@@ -252,8 +253,8 @@ func TestAllMitigations(t *testing.T) {
 
 func TestFunctionsSortedDeterministically(t *testing.T) {
 	mt := NewMeter(DefaultCostModel())
-	mt.AddUops("b", CatOther, 10)
-	mt.AddUops("a", CatOther, 10)
+	mt.AddUops(Intern("b"), CatOther, 10)
+	mt.AddUops(Intern("a"), CatOther, 10)
 	fns := mt.Functions()
 	if fns[0].Name != "a" || fns[1].Name != "b" {
 		t.Errorf("equal-cost functions should sort by name: %v, %v", fns[0].Name, fns[1].Name)
@@ -263,11 +264,11 @@ func TestFunctionsSortedDeterministically(t *testing.T) {
 func TestMeterMerge(t *testing.T) {
 	model := DefaultCostModel()
 	a, b := NewMeter(model), NewMeter(model)
-	a.AddUops("shared_fn", CatHash, 100)
-	b.AddUops("shared_fn", CatHash, 50)
-	b.AddUops("b_only_fn", CatString, 30)
-	a.AddAccel("accel_fn", CatHash, AccelHashTable, 10)
-	b.AddAccel("accel_fn", CatHash, AccelHashTable, 5)
+	a.AddUops(Intern("shared_fn"), CatHash, 100)
+	b.AddUops(Intern("shared_fn"), CatHash, 50)
+	b.AddUops(Intern("b_only_fn"), CatString, 30)
+	a.AddAccel(Intern("accel_fn"), CatHash, AccelHashTable, 10)
+	b.AddAccel(Intern("accel_fn"), CatHash, AccelHashTable, 5)
 
 	wantCycles := a.TotalCycles() + b.TotalCycles()
 	wantUops := a.TotalUops() + b.TotalUops()
@@ -306,5 +307,58 @@ func TestMeterMerge(t *testing.T) {
 	// The source meter is untouched.
 	if b.TotalCycles() != bCyclesBefore {
 		t.Errorf("Merge mutated its argument")
+	}
+}
+
+// TestMeterTotalsDeterministic pins that meter totals do not depend on
+// iteration order: repeated calls on one meter, and two meters given the
+// same charges, return bit-identical floats, and Functions breaks ties
+// on category after name.
+func TestMeterTotalsDeterministic(t *testing.T) {
+	charge := func(mt *Meter) {
+		for i := 0; i < 60; i++ {
+			fn := Intern(fmt.Sprintf("det_fn_%02d", i))
+			for c := Category(0); c < 3; c++ {
+				mt.AddUops(fn, c, 0.1*float64(i+1)+1e-3*float64(c))
+				mt.AddAccel(fn, c, AccelHashTable, 1.0/float64(i+3))
+			}
+		}
+		tie := Intern("det_tie")
+		mt.AddUops(tie, CatString, 30)
+		mt.AddUops(tie, CatHash, 30)
+	}
+	a, b := NewMeter(DefaultCostModel()), NewMeter(DefaultCostModel())
+	charge(a)
+	charge(b)
+	totals := func(mt *Meter) [3]float64 {
+		return [3]float64{mt.TotalUops(), mt.TotalCycles(), mt.TotalEnergy()}
+	}
+	want, wantCat := totals(a), a.CategoryCycles()
+	for i := 0; i < 200; i++ {
+		for _, mt := range []*Meter{a, b} {
+			if got := totals(mt); got != want {
+				t.Fatalf("call %d: totals %v, want %v", i, got, want)
+			}
+			for c, v := range mt.CategoryCycles() {
+				if v != wantCat[c] {
+					t.Fatalf("call %d: CategoryCycles[%v] = %v, want %v", i, c, v, wantCat[c])
+				}
+			}
+		}
+	}
+	fa, fb := a.Functions(), b.Functions()
+	for i := range fa {
+		if *fa[i] != *fb[i] {
+			t.Fatalf("Functions()[%d] differs: %+v vs %+v", i, *fa[i], *fb[i])
+		}
+	}
+	var tied []Category
+	for _, f := range fa {
+		if f.Name == "det_tie" {
+			tied = append(tied, f.Category)
+		}
+	}
+	if len(tied) != 2 || tied[0] != CatHash || tied[1] != CatString {
+		t.Errorf("det_tie rows in order %v, want [hash string]", tied)
 	}
 }

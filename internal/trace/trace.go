@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"repro/internal/sim"
 )
 
 // Kind is the event type.
@@ -75,9 +77,12 @@ func (k Kind) String() string {
 //	string op:  A = strlib op code, B = subject bytes
 //	regex scan: A = regexp PC (pattern identity), B = bytes scanned
 //	request:    A = request sequence number
+//
+// Events hold no pointers: the leaf function is its interned sim.Fn, so
+// recording copies a few words and leaves nothing for the collector.
 type Event struct {
 	Kind Kind
-	Fn   string // leaf function attribution
+	Fn   sim.Fn // leaf function attribution
 	A    uint64
 	B    uint64
 	C    uint64
@@ -114,7 +119,9 @@ func (r *Recorder) Record(e Event) {
 		return
 	}
 	r.events[r.start] = e
-	r.start = (r.start + 1) % r.cap
+	if r.start++; r.start == r.cap {
+		r.start = 0
+	}
 }
 
 // Total returns the number of events ever recorded.
@@ -168,7 +175,9 @@ func (r *Recorder) Reset() {
 
 const magic = "PHPT1\n"
 
-// Write encodes events to w in the binary trace format.
+// Write encodes events to w in the binary trace format. The format
+// carries each event's function name, not its Fn, so a trace reads back
+// in any process.
 func Write(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
@@ -187,10 +196,11 @@ func Write(w io.Writer, events []Event) error {
 		if err := bw.WriteByte(byte(e.Kind)); err != nil {
 			return err
 		}
-		if err := putUvarint(uint64(len(e.Fn))); err != nil {
+		name := e.Fn.String()
+		if err := putUvarint(uint64(len(name))); err != nil {
 			return err
 		}
-		if _, err := bw.WriteString(e.Fn); err != nil {
+		if _, err := bw.WriteString(name); err != nil {
 			return err
 		}
 		for _, v := range [3]uint64{e.A, e.B, e.C} {
@@ -202,7 +212,8 @@ func Write(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// Read decodes a trace previously encoded with Write.
+// Read decodes a trace previously encoded with Write, interning each
+// function name.
 func Read(r io.Reader) ([]Event, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
@@ -244,7 +255,7 @@ func Read(r io.Reader) ([]Event, error) {
 		if _, err := io.ReadFull(br, fn); err != nil {
 			return nil, err
 		}
-		e.Fn = string(fn)
+		e.Fn = sim.Intern(string(fn))
 		for _, dst := range [3]*uint64{&e.A, &e.B, &e.C} {
 			v, err := binary.ReadUvarint(br)
 			if err != nil {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/sim"
 )
 
 func TestKindStrings(t *testing.T) {
@@ -63,11 +65,11 @@ func TestRecorderReset(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	events := []Event{
-		{Kind: KindRequest, Fn: "main", A: 1},
-		{Kind: KindHashGet, Fn: "zend_hash_find", A: 77, B: 12, C: 1},
-		{Kind: KindAlloc, Fn: "smart_malloc", A: 0x10000, B: 64},
-		{Kind: KindStringOp, Fn: "strtoupper", A: 4, B: 1024},
-		{Kind: KindRegexScan, Fn: "pcre_exec", A: 9, B: 4096},
+		{Kind: KindRequest, Fn: sim.Intern("main"), A: 1},
+		{Kind: KindHashGet, Fn: sim.Intern("zend_hash_find"), A: 77, B: 12, C: 1},
+		{Kind: KindAlloc, Fn: sim.Intern("smart_malloc"), A: 0x10000, B: 64},
+		{Kind: KindStringOp, Fn: sim.Intern("strtoupper"), A: 4, B: 1024},
+		{Kind: KindRegexScan, Fn: sim.Intern("pcre_exec"), A: 9, B: 4096},
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, events); err != nil {
@@ -79,6 +81,52 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, events) {
 		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, events)
+	}
+	t.Run("uninterned_names", testRoundTripUninterned)
+}
+
+// testRoundTripUninterned reads a trace built byte by byte in the
+// wire format, with function names this process has never interned:
+// Read must intern them so the names come back, and writing the events
+// again must reproduce the file exactly.
+func testRoundTripUninterned(t *testing.T) {
+	names := []string{"trace_fresh_name_alpha", "trace_fresh_name_beta", "trace_fresh_name_alpha"}
+	marker := sim.Intern("trace_fresh_name_marker")
+	var file bytes.Buffer
+	file.WriteString(magic)
+	file.WriteByte(byte(len(names)))
+	for i, n := range names {
+		file.WriteByte(byte(KindHashGet))
+		file.WriteByte(byte(len(n)))
+		file.WriteString(n)
+		file.Write([]byte{byte(i), 2, 3})
+	}
+	want := bytes.Clone(file.Bytes())
+
+	got, err := Read(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(names) {
+		t.Fatalf("read %d events, want %d", len(got), len(names))
+	}
+	for i, e := range got {
+		if e.Fn.String() != names[i] || e.A != uint64(i) || e.B != 2 || e.C != 3 {
+			t.Errorf("event %d = %+v (fn %q), want fn %q", i, e, e.Fn.String(), names[i])
+		}
+		if e.Fn <= marker {
+			t.Errorf("event %d: fn %q was interned before Read", i, names[i])
+		}
+	}
+	if got[0].Fn != got[2].Fn {
+		t.Errorf("equal names read as distinct Fns %d and %d", got[0].Fn, got[2].Fn)
+	}
+	var again bytes.Buffer
+	if err := Write(&again, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), want) {
+		t.Errorf("rewritten trace differs:\n got %q\nwant %q", again.Bytes(), want)
 	}
 }
 
@@ -103,7 +151,7 @@ func TestReadRejectsBadMagic(t *testing.T) {
 }
 
 func TestReadRejectsTruncated(t *testing.T) {
-	events := []Event{{Kind: KindAlloc, Fn: "f", A: 1, B: 2, C: 3}}
+	events := []Event{{Kind: KindAlloc, Fn: sim.Intern("f"), A: 1, B: 2, C: 3}}
 	var buf bytes.Buffer
 	if err := Write(&buf, events); err != nil {
 		t.Fatal(err)
@@ -123,10 +171,10 @@ func TestRoundTripEveryKind(t *testing.T) {
 	// predating a new kind still decodes the trace.
 	var events []Event
 	for k := Kind(0); k < numKinds; k++ {
-		events = append(events, Event{Kind: k, Fn: k.String(), A: uint64(k), B: 2, C: 3})
+		events = append(events, Event{Kind: k, Fn: sim.Intern(k.String()), A: uint64(k), B: 2, C: 3})
 	}
 	for _, k := range []Kind{numKinds, numKinds + 1, 200, 255} {
-		events = append(events, Event{Kind: k, Fn: "from_the_future", A: 9})
+		events = append(events, Event{Kind: k, Fn: sim.Intern("from_the_future"), A: 9})
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, events); err != nil {
@@ -149,7 +197,7 @@ func TestRoundTripProperty(t *testing.T) {
 		for _, k := range kinds {
 			events = append(events, Event{
 				Kind: Kind(k),
-				Fn:   fn,
+				Fn:   sim.Intern(fn),
 				A:    a, B: b, C: c,
 			})
 		}
@@ -178,15 +226,15 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestRecorderMerge(t *testing.T) {
 	a, b := NewRecorder(0), NewRecorder(0)
-	a.Record(Event{Kind: KindHashGet, Fn: "a1"})
-	b.Record(Event{Kind: KindHashSet, Fn: "b1"})
-	b.Record(Event{Kind: KindAlloc, Fn: "b2"})
+	a.Record(Event{Kind: KindHashGet, Fn: sim.Intern("a1")})
+	b.Record(Event{Kind: KindHashSet, Fn: sim.Intern("b1")})
+	b.Record(Event{Kind: KindAlloc, Fn: sim.Intern("b2")})
 	a.Merge(b)
 	ev := a.Events()
 	if len(ev) != 3 || a.Total() != 3 {
 		t.Fatalf("merged %d events (total %d), want 3", len(ev), a.Total())
 	}
-	if ev[0].Fn != "a1" || ev[1].Fn != "b1" || ev[2].Fn != "b2" {
+	if ev[0].Fn.String() != "a1" || ev[1].Fn.String() != "b1" || ev[2].Fn.String() != "b2" {
 		t.Errorf("merged order wrong: %+v", ev)
 	}
 	// b is unchanged.

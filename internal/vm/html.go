@@ -11,66 +11,66 @@ import (
 
 // --- String function wrappers (trace-recording) ---
 
-func (r *Runtime) recStr(fn string, op strlib.Op, n int) {
+func (r *Runtime) recStr(fn sim.Fn, op strlib.Op, n int) {
 	r.record(trace.Event{Kind: trace.KindStringOp, Fn: fn, A: uint64(op), B: uint64(n)})
 }
 
 // EscapeHTML escapes HTML metacharacters (htmlspecialchars).
-func (r *Runtime) EscapeHTML(fn string, content []byte) []byte {
+func (r *Runtime) EscapeHTML(fn sim.Fn, content []byte) []byte {
 	r.recStr(fn, strlib.OpHTMLSpecial, len(content))
 	return r.cpu.StrHTMLEscape(fn, content)
 }
 
 // Find locates pattern in subject (strpos).
-func (r *Runtime) Find(fn string, subject, pattern []byte) int {
+func (r *Runtime) Find(fn sim.Fn, subject, pattern []byte) int {
 	r.recStr(fn, strlib.OpFind, len(subject))
 	return r.cpu.StrFind(fn, subject, pattern)
 }
 
 // Replace substitutes old with new (str_replace).
-func (r *Runtime) Replace(fn string, subject, old, new []byte) []byte {
+func (r *Runtime) Replace(fn sim.Fn, subject, old, new []byte) []byte {
 	r.recStr(fn, strlib.OpReplace, len(subject))
 	return r.cpu.StrReplace(fn, subject, old, new)
 }
 
 // ToUpper upper-cases (strtoupper).
-func (r *Runtime) ToUpper(fn string, subject []byte) []byte {
+func (r *Runtime) ToUpper(fn sim.Fn, subject []byte) []byte {
 	r.recStr(fn, strlib.OpToUpper, len(subject))
 	return r.cpu.StrToUpper(fn, subject)
 }
 
 // ToLower lower-cases (strtolower).
-func (r *Runtime) ToLower(fn string, subject []byte) []byte {
+func (r *Runtime) ToLower(fn sim.Fn, subject []byte) []byte {
 	r.recStr(fn, strlib.OpToLower, len(subject))
 	return r.cpu.StrToLower(fn, subject)
 }
 
 // Trim strips whitespace (trim).
-func (r *Runtime) Trim(fn string, subject []byte) []byte {
+func (r *Runtime) Trim(fn sim.Fn, subject []byte) []byte {
 	r.recStr(fn, strlib.OpTrim, len(subject))
 	return r.cpu.StrTrim(fn, subject)
 }
 
 // NL2BR inserts "<br />" before newlines (nl2br).
-func (r *Runtime) NL2BR(fn string, subject []byte) []byte {
+func (r *Runtime) NL2BR(fn sim.Fn, subject []byte) []byte {
 	r.recStr(fn, strlib.OpNL2BR, len(subject))
 	return r.cpu.StrNL2BR(fn, subject)
 }
 
 // AddSlashes backslash-escapes quotes and backslashes (addslashes).
-func (r *Runtime) AddSlashes(fn string, subject []byte) []byte {
+func (r *Runtime) AddSlashes(fn sim.Fn, subject []byte) []byte {
 	r.recStr(fn, strlib.OpAddSlashes, len(subject))
 	return r.cpu.StrAddSlashes(fn, subject)
 }
 
 // Translate maps characters (strtr).
-func (r *Runtime) Translate(fn string, subject, from, to []byte) []byte {
+func (r *Runtime) Translate(fn sim.Fn, subject, from, to []byte) []byte {
 	r.recStr(fn, strlib.OpTranslate, len(subject))
 	return r.cpu.StrTranslate(fn, subject, from, to)
 }
 
 // Compare compares strings (strcmp).
-func (r *Runtime) Compare(fn string, a, b []byte) int {
+func (r *Runtime) Compare(fn sim.Fn, a, b []byte) int {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
@@ -80,7 +80,7 @@ func (r *Runtime) Compare(fn string, a, b []byte) int {
 }
 
 // Concat joins byte slices (the `.` operator / implode).
-func (r *Runtime) Concat(fn string, parts ...[]byte) []byte {
+func (r *Runtime) Concat(fn sim.Fn, parts ...[]byte) []byte {
 	total := 0
 	for _, p := range parts {
 		total += len(p)
@@ -94,12 +94,12 @@ func (r *Runtime) Concat(fn string, parts ...[]byte) []byte {
 // OutputBuffer accumulates the response body (PHP's ob_* layer).
 type OutputBuffer struct {
 	r   *Runtime
-	fn  string
+	fn  sim.Fn
 	buf []byte
 }
 
 // NewOutputBuffer starts a response buffer attributed to fn.
-func (r *Runtime) NewOutputBuffer(fn string) *OutputBuffer {
+func (r *Runtime) NewOutputBuffer(fn sim.Fn) *OutputBuffer {
 	return &OutputBuffer{r: r, fn: fn}
 }
 
@@ -107,7 +107,7 @@ func (r *Runtime) NewOutputBuffer(fn string) *OutputBuffer {
 // retaining its capacity — the render-output recycling hook. Bytes
 // returned by earlier Bytes() calls become invalid (they alias the
 // buffer about to be overwritten).
-func (o *OutputBuffer) Reset(fn string) {
+func (o *OutputBuffer) Reset(fn sim.Fn) {
 	o.fn = fn
 	o.buf = o.buf[:0]
 }
@@ -134,7 +134,7 @@ func (o *OutputBuffer) Len() int { return len(o.buf) }
 // attrs in insertion order — the "retrieve attribute values, store them
 // in string objects, concatenate" pattern behind the heap manager's
 // strong memory reuse observation (§4.3).
-func (r *Runtime) BuildTag(fn string, name string, attrs *Array, body []byte) []byte {
+func (r *Runtime) BuildTag(fn sim.Fn, name string, attrs *Array, body []byte) []byte {
 	r.spans.Begin("vm:build_tag")
 	defer r.spans.End()
 	out := r.Concat(fn, []byte("<"), []byte(name))
@@ -181,7 +181,7 @@ type Chain struct {
 }
 
 // NewChain compiles a chain through the regexp manager.
-func (r *Runtime) NewChain(fn string, steps []ChainStep) (*Chain, error) {
+func (r *Runtime) NewChain(fn sim.Fn, steps []ChainStep) (*Chain, error) {
 	return r.RefreshChain(nil, fn, steps)
 }
 
@@ -191,7 +191,7 @@ func (r *Runtime) NewChain(fn string, steps []ChainStep) (*Chain, error) {
 // builds a fresh chain. A caller that re-derives the same chain every
 // request — the dataflow analysis runs per invocation even though its
 // result is stable — keeps one Chain per runtime and refreshes it.
-func (r *Runtime) RefreshChain(c *Chain, fn string, steps []ChainStep) (*Chain, error) {
+func (r *Runtime) RefreshChain(c *Chain, fn sim.Fn, steps []ChainStep) (*Chain, error) {
 	if c == nil {
 		c = &Chain{}
 	}
@@ -224,7 +224,7 @@ func (r *Runtime) RefreshChain(c *Chain, fn string, steps []ChainStep) (*Chain, 
 // returned content equals the unaccelerated chain output modulo the
 // padding the HTML specification permits. The total replacement count is
 // also returned.
-func (c *Chain) Apply(fn string, content []byte) ([]byte, int) {
+func (c *Chain) Apply(fn sim.Fn, content []byte) ([]byte, int) {
 	if len(c.res) == 0 {
 		return content, 0
 	}
@@ -246,7 +246,7 @@ func (c *Chain) Apply(fn string, content []byte) ([]byte, int) {
 // ScanURL runs an anchored, reuse-accelerated scan of a URL-like content
 // string (the Fig. 13 pattern). pc identifies the call site. It returns
 // the length of the longest accepted prefix, or -1.
-func (r *Runtime) ScanURL(fn string, re *regex.Regex, pc uint64, content []byte) int {
+func (r *Runtime) ScanURL(fn sim.Fn, re *regex.Regex, pc uint64, content []byte) int {
 	r.record(trace.Event{Kind: trace.KindRegexScan, Fn: fn, A: pc, B: uint64(len(content))})
 	return r.cpu.RegexScanReuse(fn, re, pc, content)
 }

@@ -78,6 +78,12 @@ type Runtime struct {
 	regexHits    int64 // probes that found a compiled FSM
 }
 
+// Leaf functions the runtime charges on its own account.
+var (
+	fnRequest          = sim.Intern("request")
+	fnRegexCacheLookup = sim.Intern("regex_cache_lookup")
+)
+
 // New builds a Runtime.
 func New(cfg Config) *Runtime {
 	if cfg.Model.IPC == 0 {
@@ -139,7 +145,7 @@ func (r *Runtime) record(e trace.Event) {
 func (r *Runtime) BeginRequest() uint64 {
 	r.mem.Reset()
 	r.requestSeq++
-	r.record(trace.Event{Kind: trace.KindRequest, Fn: "request", A: r.requestSeq})
+	r.record(trace.Event{Kind: trace.KindRequest, Fn: fnRequest, A: r.requestSeq})
 	return r.requestSeq
 }
 
@@ -150,7 +156,7 @@ func (r *Runtime) ContextSwitch() { r.cpu.ContextSwitch() }
 // RemoteTouch models another core accessing the array's memory: the
 // hardware hash table gives up its cached entries so the remote reader
 // observes a coherent software map (§4.1 design principle e / §4.2).
-func (r *Runtime) RemoteTouch(fn string, a *Array) {
+func (r *Runtime) RemoteTouch(fn sim.Fn, a *Array) {
 	r.cpu.RemoteCoherence(fn, a.m)
 }
 
@@ -175,7 +181,7 @@ func (a *Array) Size() int { return a.m.Size() }
 // list when one is available: the simulated work — heap Malloc, map
 // identity assignment, trace event — is identical either way, only the Go
 // allocation is saved.
-func (r *Runtime) NewArray(fn string) *Array {
+func (r *Runtime) NewArray(fn sim.Fn) *Array {
 	b := r.cpu.Malloc(fn, 96) // MixedArray header-sized allocation
 	var a *Array
 	if n := len(r.arrFree); n > 0 {
@@ -197,7 +203,7 @@ func (r *Runtime) NewArray(fn string) *Array {
 // structure goes on the runtime's free list — the *Array must not be
 // used after this call (the freed flag catches double frees, and a
 // recycled structure would otherwise alias a later array).
-func (r *Runtime) FreeArray(fn string, a *Array) {
+func (r *Runtime) FreeArray(fn sim.Fn, a *Array) {
 	if a.freed {
 		panic("vm: double free of array")
 	}
@@ -210,7 +216,7 @@ func (r *Runtime) FreeArray(fn string, a *Array) {
 
 // AGet reads a key. dynamic marks dynamic key names that software methods
 // cannot specialize (§4.2).
-func (r *Runtime) AGet(fn string, a *Array, k hashmap.Key, dynamic bool) (interface{}, bool) {
+func (r *Runtime) AGet(fn sim.Fn, a *Array, k hashmap.Key, dynamic bool) (interface{}, bool) {
 	v, ok := r.cpu.HashGet(fn, a.m, k, !dynamic)
 	dyn := uint64(0)
 	if dynamic {
@@ -221,7 +227,7 @@ func (r *Runtime) AGet(fn string, a *Array, k hashmap.Key, dynamic bool) (interf
 }
 
 // ASet writes a key.
-func (r *Runtime) ASet(fn string, a *Array, k hashmap.Key, v interface{}, dynamic bool) {
+func (r *Runtime) ASet(fn sim.Fn, a *Array, k hashmap.Key, v interface{}, dynamic bool) {
 	r.cpu.HashSet(fn, a.m, k, v, !dynamic)
 	dyn := uint64(0)
 	if dynamic {
@@ -231,7 +237,7 @@ func (r *Runtime) ASet(fn string, a *Array, k hashmap.Key, v interface{}, dynami
 }
 
 // ADelete removes a key (PHP unset).
-func (r *Runtime) ADelete(fn string, a *Array, k hashmap.Key) bool {
+func (r *Runtime) ADelete(fn sim.Fn, a *Array, k hashmap.Key) bool {
 	r.record(trace.Event{Kind: trace.KindHashDelete, Fn: fn, A: a.m.ID(), B: uint64(k.Len())})
 	return r.cpu.HashDelete(fn, a.m, k)
 }
@@ -239,12 +245,12 @@ func (r *Runtime) ADelete(fn string, a *Array, k hashmap.Key) bool {
 // ASize returns the array's element count, flushing hardware-buffered
 // inserts first so the software size field is current (PHP count() and
 // array truthiness).
-func (r *Runtime) ASize(fn string, a *Array) int {
+func (r *Runtime) ASize(fn sim.Fn, a *Array) int {
 	return r.cpu.HashSize(fn, a.m)
 }
 
 // AForeach iterates in insertion order (PHP foreach).
-func (r *Runtime) AForeach(fn string, a *Array, f func(k hashmap.Key, v interface{}) bool) {
+func (r *Runtime) AForeach(fn sim.Fn, a *Array, f func(k hashmap.Key, v interface{}) bool) {
 	r.record(trace.Event{Kind: trace.KindHashIterate, Fn: fn, A: a.m.ID()})
 	r.cpu.HashForeach(fn, a.m, f)
 }
@@ -252,7 +258,7 @@ func (r *Runtime) AForeach(fn string, a *Array, f func(k hashmap.Key, v interfac
 // Extract implements the PHP extract command: it imports every key/value
 // pair of src into the symbol table dst using dynamic key names — the
 // access pattern the paper highlights as unspecializable in software.
-func (r *Runtime) Extract(fn string, dst *Array, src *Array) int {
+func (r *Runtime) Extract(fn sim.Fn, dst *Array, src *Array) int {
 	n := 0
 	r.AForeach(fn, src, func(k hashmap.Key, v interface{}) bool {
 		r.ASet(fn, dst, k, v, true)
@@ -282,7 +288,7 @@ func (s *Str) Len() int { return s.val.Len() }
 // NewStr allocates a PHP string object holding b (not copied). The
 // handle comes from the runtime's free list when one is available —
 // the simulated Malloc charge is identical either way.
-func (r *Runtime) NewStr(fn string, b []byte) *Str {
+func (r *Runtime) NewStr(fn sim.Fn, b []byte) *Str {
 	size := len(b) + 16 // header + payload
 	blk := r.cpu.Malloc(fn, size)
 	r.record(trace.Event{Kind: trace.KindAlloc, Fn: fn, A: blk.Addr, B: uint64(size)})
@@ -300,7 +306,7 @@ func (r *Runtime) NewStr(fn string, b []byte) *Str {
 }
 
 // FreeStr releases a string object and recycles its handle.
-func (r *Runtime) FreeStr(fn string, s *Str) {
+func (r *Runtime) FreeStr(fn sim.Fn, s *Str) {
 	if s.freed {
 		panic("vm: double free of string")
 	}
@@ -320,11 +326,10 @@ func (r *Runtime) FreeStr(fn string, s *Str) {
 // pattern pays pcre_compile once and its error is replayed from the
 // manager afterwards, so one bad pattern in a hot path cannot defeat
 // the cache.
-func (r *Runtime) Regex(fn, pattern string) (*regex.Regex, error) {
-	const mgrFn = "regex_cache_lookup"
+func (r *Runtime) Regex(fn sim.Fn, pattern string) (*regex.Regex, error) {
 	k := hashmap.StrKey(pattern)
-	v, ok := r.cpu.HashGet(mgrFn, r.regexMgr, k, true)
-	r.record(trace.Event{Kind: trace.KindHashGet, Fn: mgrFn, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
+	v, ok := r.cpu.HashGet(fnRegexCacheLookup, r.regexMgr, k, true)
+	r.record(trace.Event{Kind: trace.KindHashGet, Fn: fnRegexCacheLookup, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
 	r.regexLookups++
 	if ok {
 		r.regexHits++
@@ -337,12 +342,12 @@ func (r *Runtime) Regex(fn, pattern string) (*regex.Regex, error) {
 	re, err := r.cpu.RegexCompile(fn, pattern)
 	r.spans.End()
 	if err != nil {
-		r.cpu.HashSet(mgrFn, r.regexMgr, k, err, true)
-		r.record(trace.Event{Kind: trace.KindHashSet, Fn: mgrFn, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
+		r.cpu.HashSet(fnRegexCacheLookup, r.regexMgr, k, err, true)
+		r.record(trace.Event{Kind: trace.KindHashSet, Fn: fnRegexCacheLookup, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
 		return nil, err
 	}
-	r.cpu.HashSet(mgrFn, r.regexMgr, k, re, true)
-	r.record(trace.Event{Kind: trace.KindHashSet, Fn: mgrFn, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
+	r.cpu.HashSet(fnRegexCacheLookup, r.regexMgr, k, re, true)
+	r.record(trace.Event{Kind: trace.KindHashSet, Fn: fnRegexCacheLookup, A: r.regexMgr.ID(), B: uint64(k.Len()), C: 1})
 	return re, nil
 }
 
@@ -355,7 +360,7 @@ func (r *Runtime) RegexCacheStats() (lookups, hits int64) {
 }
 
 // MustRegex is Regex for statically known patterns.
-func (r *Runtime) MustRegex(fn, pattern string) *regex.Regex {
+func (r *Runtime) MustRegex(fn sim.Fn, pattern string) *regex.Regex {
 	re, err := r.Regex(fn, pattern)
 	if err != nil {
 		panic(err)

@@ -22,45 +22,45 @@ func hwRuntime() *Runtime {
 
 func TestArrayLifecycle(t *testing.T) {
 	r := hwRuntime()
-	a := r.NewArray("f")
-	r.ASet("f", a, hashmap.StrKey("k"), []byte("v"), true)
-	if v, ok := r.AGet("f", a, hashmap.StrKey("k"), true); !ok || string(v.([]byte)) != "v" {
+	a := r.NewArray(sim.Intern("f"))
+	r.ASet(sim.Intern("f"), a, hashmap.StrKey("k"), []byte("v"), true)
+	if v, ok := r.AGet(sim.Intern("f"), a, hashmap.StrKey("k"), true); !ok || string(v.([]byte)) != "v" {
 		t.Errorf("AGet = %v %v", v, ok)
 	}
-	if !r.ADelete("f", a, hashmap.StrKey("k")) {
+	if !r.ADelete(sim.Intern("f"), a, hashmap.StrKey("k")) {
 		// With the hardware hash table a silent SET lives only in hardware;
 		// Delete still must make it unobservable.
-		if _, ok := r.AGet("f", a, hashmap.StrKey("k"), true); ok {
+		if _, ok := r.AGet(sim.Intern("f"), a, hashmap.StrKey("k"), true); ok {
 			t.Errorf("deleted key visible")
 		}
 	}
-	r.FreeArray("f", a)
+	r.FreeArray(sim.Intern("f"), a)
 }
 
 func TestFreeArrayPanicsOnDoubleFree(t *testing.T) {
 	r := swRuntime()
-	a := r.NewArray("f")
-	r.FreeArray("f", a)
+	a := r.NewArray(sim.Intern("f"))
+	r.FreeArray(sim.Intern("f"), a)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("double FreeArray should panic")
 		}
 	}()
-	r.FreeArray("f", a)
+	r.FreeArray(sim.Intern("f"), a)
 }
 
 func TestExtractImportsAllPairs(t *testing.T) {
 	r := hwRuntime()
-	src := r.NewArray("f")
-	dst := r.NewArray("f")
+	src := r.NewArray(sim.Intern("f"))
+	dst := r.NewArray(sim.Intern("f"))
 	for i := 0; i < 10; i++ {
-		r.ASet("f", src, hashmap.StrKey(fmt.Sprintf("var%d", i)), i, false)
+		r.ASet(sim.Intern("f"), src, hashmap.StrKey(fmt.Sprintf("var%d", i)), i, false)
 	}
-	if n := r.Extract("extract", dst, src); n != 10 {
+	if n := r.Extract(sim.Intern("extract"), dst, src); n != 10 {
 		t.Fatalf("Extract moved %d pairs", n)
 	}
 	var order []string
-	r.AForeach("f", dst, func(k hashmap.Key, v interface{}) bool {
+	r.AForeach(sim.Intern("f"), dst, func(k hashmap.Key, v interface{}) bool {
 		order = append(order, k.Str)
 		return true
 	})
@@ -71,23 +71,23 @@ func TestExtractImportsAllPairs(t *testing.T) {
 
 func TestStrLifecycle(t *testing.T) {
 	r := hwRuntime()
-	s := r.NewStr("f", []byte("hello"))
+	s := r.NewStr(sim.Intern("f"), []byte("hello"))
 	if s.Len() != 5 || string(s.Bytes()) != "hello" {
 		t.Errorf("Str accessors wrong")
 	}
-	r.FreeStr("f", s)
+	r.FreeStr(sim.Intern("f"), s)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("double FreeStr should panic")
 		}
 	}()
-	r.FreeStr("f", s)
+	r.FreeStr(sim.Intern("f"), s)
 }
 
 func TestRegexManagerCaches(t *testing.T) {
 	r := hwRuntime()
-	re1 := r.MustRegex("f", `<[a-z]+>`)
-	re2 := r.MustRegex("f", `<[a-z]+>`)
+	re1 := r.MustRegex(sim.Intern("f"), `<[a-z]+>`)
+	re2 := r.MustRegex(sim.Intern("f"), `<[a-z]+>`)
 	if re1 != re2 {
 		t.Errorf("regex manager should return the cached FSM")
 	}
@@ -105,7 +105,7 @@ func TestRegexManagerCaches(t *testing.T) {
 
 func TestOutputBuffer(t *testing.T) {
 	r := swRuntime()
-	ob := r.NewOutputBuffer("render")
+	ob := r.NewOutputBuffer(sim.Intern("render"))
 	ob.WriteString("<html>")
 	ob.Write([]byte("body"))
 	ob.WriteString("</html>")
@@ -119,11 +119,11 @@ func TestOutputBuffer(t *testing.T) {
 
 func TestBuildTagEquivalence(t *testing.T) {
 	build := func(r *Runtime) string {
-		attrs := r.NewArray("f")
-		r.ASet("f", attrs, hashmap.StrKey("href"), []byte(`/page?a=1&b=2`), false)
-		r.ASet("f", attrs, hashmap.StrKey("title"), []byte(`say "hi"`), false)
-		out := r.BuildTag("f", "a", attrs, []byte("link"))
-		r.FreeArray("f", attrs)
+		attrs := r.NewArray(sim.Intern("f"))
+		r.ASet(sim.Intern("f"), attrs, hashmap.StrKey("href"), []byte(`/page?a=1&b=2`), false)
+		r.ASet(sim.Intern("f"), attrs, hashmap.StrKey("title"), []byte(`say "hi"`), false)
+		out := r.BuildTag(sim.Intern("f"), "a", attrs, []byte("link"))
+		r.FreeArray(sim.Intern("f"), attrs)
 		return string(out)
 	}
 	sw := build(swRuntime())
@@ -147,11 +147,11 @@ func TestChainEquivalenceModuloPadding(t *testing.T) {
 	content := []byte("it's a \"test\"\nwith " + strings.Repeat("filler text ", 30) + "'ends'")
 
 	apply := func(r *Runtime) (string, int) {
-		ch, err := r.NewChain("wptexturize", steps)
+		ch, err := r.NewChain(sim.Intern("wptexturize"), steps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, n := ch.Apply("wptexturize", content)
+		out, n := ch.Apply(sim.Intern("wptexturize"), content)
 		return string(out), n
 	}
 	swOut, swN := apply(swRuntime())
@@ -177,13 +177,13 @@ func TestChainPropertyEquivalence(t *testing.T) {
 		content := genText(seed, 500)
 		sw, swN := func() ([]byte, int) {
 			r := swRuntime()
-			ch, _ := r.NewChain("f", steps)
-			return ch.Apply("f", append([]byte(nil), content...))
+			ch, _ := r.NewChain(sim.Intern("f"), steps)
+			return ch.Apply(sim.Intern("f"), append([]byte(nil), content...))
 		}()
 		hw, hwN := func() ([]byte, int) {
 			r := hwRuntime()
-			ch, _ := r.NewChain("f", steps)
-			return ch.Apply("f", append([]byte(nil), content...))
+			ch, _ := r.NewChain(sim.Intern("f"), steps)
+			return ch.Apply(sim.Intern("f"), append([]byte(nil), content...))
 		}()
 		if swN != hwN {
 			return false
@@ -220,8 +220,8 @@ func TestScanURLEquivalence(t *testing.T) {
 		url := []byte(fmt.Sprintf("https://localhost/?author=user%d", i))
 		sw := swRuntime()
 		hw := hwRuntime()
-		swEnd := sw.ScanURL("f", sw.MustRegex("f", pattern), 7, url)
-		hwEnd := hw.ScanURL("f", hw.MustRegex("f", pattern), 7, url)
+		swEnd := sw.ScanURL(sim.Intern("f"), sw.MustRegex(sim.Intern("f"), pattern), 7, url)
+		hwEnd := hw.ScanURL(sim.Intern("f"), hw.MustRegex(sim.Intern("f"), pattern), 7, url)
 		if swEnd != hwEnd {
 			t.Errorf("url %d: sw %d hw %d", i, swEnd, hwEnd)
 		}
@@ -231,10 +231,10 @@ func TestScanURLEquivalence(t *testing.T) {
 func TestTraceRecording(t *testing.T) {
 	r := New(Config{TraceCapacity: 0})
 	r.BeginRequest()
-	a := r.NewArray("f")
-	r.ASet("f", a, hashmap.StrKey("k"), 1, true)
-	r.AGet("f", a, hashmap.StrKey("k"), true)
-	r.EscapeHTML("f", []byte("<x>"))
+	a := r.NewArray(sim.Intern("f"))
+	r.ASet(sim.Intern("f"), a, hashmap.StrKey("k"), 1, true)
+	r.AGet(sim.Intern("f"), a, hashmap.StrKey("k"), true)
+	r.EscapeHTML(sim.Intern("f"), []byte("<x>"))
 	ev := r.Trace().Events()
 	kinds := map[trace.Kind]int{}
 	for _, e := range ev {
@@ -253,11 +253,11 @@ func TestTraceRecording(t *testing.T) {
 func TestRegexCacheLookupTraced(t *testing.T) {
 	r := New(Config{TraceCapacity: 0})
 	pattern := `<[a-z]+>`
-	r.MustRegex("f", pattern) // miss: get + compile + set
-	r.MustRegex("f", pattern) // hit: get only
+	r.MustRegex(sim.Intern("f"), pattern) // miss: get + compile + set
+	r.MustRegex(sim.Intern("f"), pattern) // hit: get only
 	var gets, sets int
 	for _, e := range r.Trace().Events() {
-		if e.Fn != "regex_cache_lookup" {
+		if e.Fn.String() != "regex_cache_lookup" {
 			continue
 		}
 		if e.C != 1 {
@@ -290,15 +290,15 @@ func TestStringWrappersEquivalent(t *testing.T) {
 	subject := []byte("  The <b>Quick</b> fox's \"day\"  ")
 	ops := func(r *Runtime) string {
 		var sb strings.Builder
-		sb.Write(r.EscapeHTML("f", subject))
-		sb.Write(r.ToUpper("f", subject))
-		sb.Write(r.ToLower("f", subject))
-		sb.Write(r.Trim("f", subject))
-		sb.Write(r.Replace("f", subject, []byte("fox"), []byte("wolf")))
-		sb.Write(r.Translate("f", subject, []byte("aeiou"), []byte("AEIOU")))
-		fmt.Fprint(&sb, r.Find("f", subject, []byte("Quick")))
-		fmt.Fprint(&sb, r.Compare("f", subject, []byte("zzz")))
-		sb.Write(r.Concat("f", subject, []byte("|end")))
+		sb.Write(r.EscapeHTML(sim.Intern("f"), subject))
+		sb.Write(r.ToUpper(sim.Intern("f"), subject))
+		sb.Write(r.ToLower(sim.Intern("f"), subject))
+		sb.Write(r.Trim(sim.Intern("f"), subject))
+		sb.Write(r.Replace(sim.Intern("f"), subject, []byte("fox"), []byte("wolf")))
+		sb.Write(r.Translate(sim.Intern("f"), subject, []byte("aeiou"), []byte("AEIOU")))
+		fmt.Fprint(&sb, r.Find(sim.Intern("f"), subject, []byte("Quick")))
+		fmt.Fprint(&sb, r.Compare(sim.Intern("f"), subject, []byte("zzz")))
+		sb.Write(r.Concat(sim.Intern("f"), subject, []byte("|end")))
 		return sb.String()
 	}
 	if ops(swRuntime()) != ops(hwRuntime()) {
@@ -308,10 +308,10 @@ func TestStringWrappersEquivalent(t *testing.T) {
 
 func TestContextSwitchPreservesState(t *testing.T) {
 	r := hwRuntime()
-	a := r.NewArray("f")
-	r.ASet("f", a, hashmap.StrKey("persist"), 42, true)
+	a := r.NewArray(sim.Intern("f"))
+	r.ASet(sim.Intern("f"), a, hashmap.StrKey("persist"), 42, true)
 	r.ContextSwitch()
-	if v, ok := r.AGet("f", a, hashmap.StrKey("persist"), true); !ok || v != 42 {
+	if v, ok := r.AGet(sim.Intern("f"), a, hashmap.StrKey("persist"), true); !ok || v != 42 {
 		t.Errorf("value lost across context switch: %v %v", v, ok)
 	}
 }
@@ -321,13 +321,13 @@ func TestRemoteCoherenceScenario(t *testing.T) {
 	// core's access forces a flush; direct software reads (the remote
 	// core's view) must observe every pair, and the worker keeps going.
 	r := hwRuntime()
-	a := r.NewArray("f")
+	a := r.NewArray(sim.Intern("f"))
 	for i := 0; i < 12; i++ {
-		r.ASet("f", a, hashmap.StrKey(fmt.Sprintf("shared%d", i)), i, true)
+		r.ASet(sim.Intern("f"), a, hashmap.StrKey(fmt.Sprintf("shared%d", i)), i, true)
 	}
 	// Remote view before coherence: the silent SETs are not in memory.
 	// (Not asserted — some may have been written back by evictions.)
-	r.RemoteTouch("remote_reader", a)
+	r.RemoteTouch(sim.Intern("remote_reader"), a)
 	for i := 0; i < 12; i++ {
 		v, ok := a.Map().Get(hashmap.StrKey(fmt.Sprintf("shared%d", i)))
 		if !ok || v != i {
@@ -335,19 +335,19 @@ func TestRemoteCoherenceScenario(t *testing.T) {
 		}
 	}
 	// The worker continues through the accelerator unharmed.
-	r.ASet("f", a, hashmap.StrKey("after"), 99, true)
-	if v, ok := r.AGet("f", a, hashmap.StrKey("after"), true); !ok || v != 99 {
+	r.ASet(sim.Intern("f"), a, hashmap.StrKey("after"), 99, true)
+	if v, ok := r.AGet(sim.Intern("f"), a, hashmap.StrKey("after"), true); !ok || v != 99 {
 		t.Errorf("worker broken after coherence event: %v %v", v, ok)
 	}
-	r.FreeArray("f", a)
+	r.FreeArray(sim.Intern("f"), a)
 }
 
 func TestRemoteCoherenceNoAccelIsNoop(t *testing.T) {
 	r := swRuntime()
-	a := r.NewArray("f")
-	r.ASet("f", a, hashmap.StrKey("k"), 1, true)
-	r.RemoteTouch("remote_reader", a) // must not panic without hardware
-	if v, ok := r.AGet("f", a, hashmap.StrKey("k"), true); !ok || v != 1 {
+	a := r.NewArray(sim.Intern("f"))
+	r.ASet(sim.Intern("f"), a, hashmap.StrKey("k"), 1, true)
+	r.RemoteTouch(sim.Intern("remote_reader"), a) // must not panic without hardware
+	if v, ok := r.AGet(sim.Intern("f"), a, hashmap.StrKey("k"), true); !ok || v != 1 {
 		t.Errorf("software map affected by remote touch: %v %v", v, ok)
 	}
 }
@@ -358,12 +358,12 @@ func TestRemoteCoherenceNoAccelIsNoop(t *testing.T) {
 func TestRegexNegativeCaching(t *testing.T) {
 	r := New(Config{TraceCapacity: 0})
 	const bad = `(unclosed`
-	_, err1 := r.Regex("f", bad)
+	_, err1 := r.Regex(sim.Intern("f"), bad)
 	if err1 == nil {
 		t.Fatalf("pattern %q should fail to compile", bad)
 	}
 	lookups0, hits0 := r.RegexCacheStats()
-	_, err2 := r.Regex("f", bad)
+	_, err2 := r.Regex(sim.Intern("f"), bad)
 	if err2 == nil {
 		t.Fatal("cached failure must still return the error")
 	}
@@ -379,7 +379,7 @@ func TestRegexNegativeCaching(t *testing.T) {
 	// two probes — the second lookup never re-entered the compiler.
 	var gets, sets int
 	for _, e := range r.Trace().Events() {
-		if e.Fn != "regex_cache_lookup" {
+		if e.Fn.String() != "regex_cache_lookup" {
 			continue
 		}
 		switch e.Kind {
@@ -393,7 +393,7 @@ func TestRegexNegativeCaching(t *testing.T) {
 		t.Errorf("regex manager trace: %d gets, %d sets; want 2 gets, 1 set (error compiled once)", gets, sets)
 	}
 	// A valid pattern still works alongside the cached failure.
-	if _, err := r.Regex("f", `<[a-z]+>`); err != nil {
+	if _, err := r.Regex(sim.Intern("f"), `<[a-z]+>`); err != nil {
 		t.Errorf("valid pattern after cached failure: %v", err)
 	}
 }

@@ -61,6 +61,16 @@ type params struct {
 	jitUops      float64        // per-request uops in the hottest JIT function
 }
 
+// Leaf functions the render path names directly, interned once.
+var (
+	fnSymtabInsert     = sim.Intern("symtab_insert")
+	fnExtractLocals    = sim.Intern("extract_locals")
+	fnHTMLSpecialChars = sim.Intern("htmlspecialchars")
+	fnTexturize        = sim.Intern("wptexturize")
+	fnJITCode          = sim.Intern("jit_compiled_code")
+	fnKernelAlloc      = sim.Intern("kernel_alloc")
+)
+
 // boxedInts pre-boxes the integers the render path stores into arrays.
 // The Go runtime interns boxed values below 256 only; page- and
 // item-derived indexes go well past that, and boxing one per store shows
@@ -98,10 +108,6 @@ type appBase struct {
 	// the app is ever driven on a different runtime.
 	ob   *vm.OutputBuffer
 	obRT *vm.Runtime
-	// renderFn and buildTagFn are the prefix-derived attribution names,
-	// concatenated once instead of per request.
-	renderFn   string
-	buildTagFn string
 	// chain is the texturize chain structure, refreshed (not rebuilt)
 	// each render; the per-request regexp-manager lookups still run.
 	chain *vm.Chain
@@ -143,15 +149,11 @@ func (a *appBase) ServePage(rt *vm.Runtime, page int) []byte {
 // valid only until the next render (see the App contract).
 func (a *appBase) renderPage(rt *vm.Runtime, page int) []byte {
 	rt.BeginRequest()
-	if a.renderFn == "" {
-		a.renderFn = a.p.prefix + "render_page"
-		a.buildTagFn = a.p.prefix + "build_tag"
-	}
 	if a.ob == nil || a.obRT != rt {
-		a.ob = rt.NewOutputBuffer(a.renderFn)
+		a.ob = rt.NewOutputBuffer(a.cat.render)
 		a.obRT = rt
 	} else {
-		a.ob.Reset(a.renderFn)
+		a.ob.Reset(a.cat.render)
 	}
 	ob := a.ob
 
@@ -209,20 +211,20 @@ func (a *appBase) loadConfiguration(rt *vm.Runtime, page int) {
 		}
 	}
 	// Dynamic-key symbol table traffic: the extract() pattern.
-	sym := rt.NewArray("symtab_insert")
-	src := rt.NewArray("extract_locals")
+	sym := rt.NewArray(fnSymtabInsert)
+	src := rt.NewArray(fnExtractLocals)
 	for i := 0; i < a.p.symtabOps; i++ {
 		k := hashmap.StrKey(pick(templateVars, page+i))
 		rt.ASet(pick(a.cat.hash, i+3), src, k, a.corpus.AuthorVal(i), true)
 	}
-	rt.Extract("extract_locals", sym, src)
+	rt.Extract(fnExtractLocals, sym, src)
 	for i := 0; i < a.p.symtabOps; i++ {
 		k := hashmap.StrKey(pick(templateVars, page+i))
 		rt.AGet(pick(a.cat.hash, i+5), sym, k, true)
 	}
 	rt.FreeArray(fn, opts)
-	rt.FreeArray("symtab_insert", sym)
-	rt.FreeArray("extract_locals", src)
+	rt.FreeArray(fnSymtabInsert, sym)
+	rt.FreeArray(fnExtractLocals, src)
 }
 
 // routeRequest models URL parsing: the same regexp over nearly identical
@@ -248,7 +250,7 @@ func (a *appBase) renderItem(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 	// Title: trim, case-normalize, escape.
 	title := rt.Trim(strFn, a.corpus.Title(idx))
 	title = rt.ToLower(pick(a.cat.str, idx+1), title)
-	titleStr := rt.NewStr(heapFn, rt.EscapeHTML("htmlspecialchars", title))
+	titleStr := rt.NewStr(heapFn, rt.EscapeHTML(fnHTMLSpecialChars, title))
 
 	// Attribute tag: retrieve values, escape, concatenate, recycle.
 	attrs := rt.NewArray(heapFn)
@@ -256,7 +258,7 @@ func (a *appBase) renderItem(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 		rt.ASet(pick(a.cat.hash, idx+j), attrs, hashmap.StrKey(pick(attrKeys, j)),
 			a.corpus.AuthorBytesVal(idx+j), true)
 	}
-	tag := rt.BuildTag(a.buildTagFn, "a", attrs, titleStr.Bytes())
+	tag := rt.BuildTag(a.cat.buildTag, "a", attrs, titleStr.Bytes())
 	ob.Write(tag)
 	rt.FreeArray(heapFn, attrs)
 	rt.FreeStr(heapFn, titleStr)
@@ -294,10 +296,10 @@ func (a *appBase) renderItem(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 		if ex <= 0 || ex > len(body) {
 			ex = len(body)
 		}
-		ch, err := rt.RefreshChain(a.chain, "wptexturize", a.p.chain)
+		ch, err := rt.RefreshChain(a.chain, fnTexturize, a.p.chain)
 		a.chain = ch
 		if err == nil {
-			excerpt, _ := ch.Apply("wptexturize", body[:ex])
+			excerpt, _ := ch.Apply(fnTexturize, body[:ex])
 			// Splice the texturized excerpt and the untouched tail into
 			// one request-arena slice.
 			merged := rt.Arena().Buf(len(excerpt) + len(body) - ex)
@@ -306,7 +308,7 @@ func (a *appBase) renderItem(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 			body = merged
 		}
 	}
-	body = rt.EscapeHTML("htmlspecialchars", body)
+	body = rt.EscapeHTML(fnHTMLSpecialChars, body)
 	bodyStr := rt.NewStr(pick(a.cat.heap, idx+1), body)
 	ob.Write(bodyStr.Bytes())
 	rt.FreeStr(pick(a.cat.heap, idx+1), bodyStr)
@@ -319,7 +321,7 @@ func (a *appBase) renderComment(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 	strFn := pick(a.cat.str, idx+4)
 	c := a.corpus.Comment(idx)
 	c = rt.NL2BR(strFn, c)
-	esc := rt.NewStr(pick(a.cat.heap, idx+2), rt.EscapeHTML("htmlspecialchars", c))
+	esc := rt.NewStr(pick(a.cat.heap, idx+2), rt.EscapeHTML(fnHTMLSpecialChars, c))
 	ob.Write(esc.Bytes())
 	rt.FreeStr(pick(a.cat.heap, idx+2), esc)
 }
@@ -329,7 +331,7 @@ func (a *appBase) renderComment(rt *vm.Runtime, ob *vm.OutputBuffer, idx int) {
 // application leaf functions (the Fig. 1 tail).
 func (a *appBase) chargeOther(rt *vm.Runtime) {
 	mt := rt.Meter()
-	mt.AddUops("jit_compiled_code", sim.CatOther, a.p.jitUops)
+	mt.AddUops(fnJITCode, sim.CatOther, a.p.jitUops)
 	n := len(a.cat.other)
 	for i := 0; i < n; i++ {
 		// Mildly skewed flat distribution.
@@ -347,7 +349,7 @@ func (a *appBase) chargeOther(rt *vm.Runtime) {
 	if mt.Mit.TunedAllocator {
 		kern /= 8
 	}
-	mt.AddUops("kernel_alloc", sim.CatKernel, kern)
+	mt.AddUops(fnKernelAlloc, sim.CatKernel, kern)
 }
 
 var optionKeys = []string{

@@ -91,7 +91,7 @@ func (d *drupalApp) ServePage(rt *vm.Runtime, page int) []byte {
 func (d *drupalApp) renderDrupalPage(rt *vm.Runtime, page int) []byte {
 	out := d.renderPage(rt, page)
 	// Entity field lookups: short-lived maps with dynamic keys.
-	fn := "drupal_entity_field_get"
+	fn := fnDrupalFieldGet
 	ent := rt.NewArray(fn)
 	for i := 0; i < 30; i++ {
 		k := hashmap.StrKey(fmt.Sprintf("field_%s_%d", pick(templateVars, i), i%9))
@@ -153,7 +153,7 @@ func (m *mediaWikiApp) renderWikiPage(rt *vm.Runtime, page int) []byte {
 	out := m.renderPage(rt, page)
 	// Wikitext parsing: sieve over the article, then shadow scans for
 	// link and entity patterns.
-	fn := "wfParseWikitext"
+	fn := fnWikiParse
 	body := m.corpus.Post(page)
 	if len(body) > 400 {
 		body = body[:400]
@@ -198,26 +198,48 @@ func (s *specWebApp) ServeRequest(rt *vm.Runtime) []byte {
 // PageApp).
 func (s *specWebApp) ServePage(rt *vm.Runtime, page int) []byte {
 	rt.BeginRequest()
-	ob := rt.NewOutputBuffer("specweb_render")
+	ob := rt.NewOutputBuffer(fnSWRender)
 	mt := rt.Meter()
 
 	// Micro-benchmark behaviour: almost everything in JIT-compiled code,
 	// a couple of helper hotspots, a tiny tail.
-	mt.AddUops("jit_compiled_code", sim.CatOther, 52000)
-	mt.AddUops("jit_helper_arith", sim.CatOther, 11000)
-	mt.AddUops("response_writer", sim.CatString, 6000)
-	for i := 0; i < 24; i++ {
-		mt.AddUops(fmt.Sprintf("sw_tail_%02d", i), sim.CatOther, 180)
+	mt.AddUops(fnJITCode, sim.CatOther, 52000)
+	mt.AddUops(fnSWArith, sim.CatOther, 11000)
+	mt.AddUops(fnSWWriter, sim.CatString, 6000)
+	for _, fn := range swTail {
+		mt.AddUops(fn, sim.CatOther, 180)
 	}
 
 	// A little genuine runtime activity.
-	arr := rt.NewArray("sw_session_get")
-	rt.ASet("sw_session_get", arr, hashmap.StrKey("session"), boxInt(page), false)
-	rt.AGet("sw_session_get", arr, hashmap.StrKey("session"), false)
-	rt.FreeArray("sw_session_get", arr)
-	ob.Write(rt.EscapeHTML("response_writer", s.corpus.Post(page)))
+	arr := rt.NewArray(fnSWSession)
+	rt.ASet(fnSWSession, arr, hashmap.StrKey("session"), boxInt(page), false)
+	rt.AGet(fnSWSession, arr, hashmap.StrKey("session"), false)
+	rt.FreeArray(fnSWSession, arr)
+	ob.Write(rt.EscapeHTML(fnSWWriter, s.corpus.Post(page)))
 	return ob.Bytes()
 }
+
+// Leaf functions the app-specific render steps name directly.
+var (
+	fnDrupalFieldGet = sim.Intern("drupal_entity_field_get")
+	fnWikiParse      = sim.Intern("wfParseWikitext")
+)
+
+// Leaf functions of the SPECWeb profile, interned once.
+var (
+	fnSWRender  = sim.Intern("specweb_render")
+	fnSWArith   = sim.Intern("jit_helper_arith")
+	fnSWWriter  = sim.Intern("response_writer")
+	fnSWSession = sim.Intern("sw_session_get")
+	// swTail is the profile's flat tail, sw_tail_00 .. sw_tail_23.
+	swTail = func() []sim.Fn {
+		fns := make([]sim.Fn, 24)
+		for i := range fns {
+			fns[i] = sim.Intern(fmt.Sprintf("sw_tail_%02d", i))
+		}
+		return fns
+	}()
+)
 
 // Apps returns the three studied PHP applications, freshly seeded.
 func Apps(seed int64) []App {

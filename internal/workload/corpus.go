@@ -11,6 +11,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/sim"
 )
 
 // Corpus is a deterministic store of post/page content: the unstructured
@@ -111,38 +113,46 @@ func (c *Corpus) AuthorURL(i int) []byte {
 	return c.authorURLs[i%len(c.authorURLs)]
 }
 
-// catalog holds leaf-function name pools per activity so the cost meter
-// produces profiles with the paper's flat, many-function shape.
+// catalog holds leaf-function pools per activity so the cost meter
+// produces profiles with the paper's flat, many-function shape. Every
+// name is interned once, when the app is built.
 type catalog struct {
-	hash  []string
-	heap  []string
-	str   []string
-	regex []string
-	other []string
+	hash  []sim.Fn
+	heap  []sim.Fn
+	str   []sim.Fn
+	regex []sim.Fn
+	other []sim.Fn
+
+	// render and buildTag are the prefix-derived page render and tag
+	// builder functions.
+	render   sim.Fn
+	buildTag sim.Fn
 }
 
-// newCatalog builds per-app function name pools. prefix distinguishes
+// newCatalog builds per-app function pools. prefix distinguishes
 // application code (wp_, drupal_, wf...).
 func newCatalog(prefix string, otherFns int) *catalog {
 	c := &catalog{
-		hash: []string{
+		hash: sim.InternAll([]string{
 			"zend_hash_find", "hash_get_bucket", "array_key_exists",
 			prefix + "cache_get", prefix + "option_lookup", "symtab_insert",
 			"hphp_array_get", "hphp_array_set", "extract_locals",
-		},
-		heap: []string{
+		}),
+		heap: sim.InternAll([]string{
 			"smart_malloc", "smart_free", "string_data_alloc",
 			"zval_release", "req_arena_alloc", "object_free",
-		},
-		str: []string{
+		}),
+		str: sim.InternAll([]string{
 			"htmlspecialchars", "string_replace_impl", "strtolower_impl",
 			"string_trim", "concat_builder", "nl2br", "addcslashes",
 			"string_find", "strtr_impl",
-		},
-		regex: []string{
+		}),
+		regex: sim.InternAll([]string{
 			"pcre_exec", "preg_replace_impl", "preg_match_all",
 			"regex_cache_lookup",
-		},
+		}),
+		render:   sim.Intern(prefix + "render_page"),
+		buildTag: sim.Intern(prefix + "build_tag"),
 	}
 	verbs := []string{
 		"render", "filter", "build", "parse", "load", "init", "format",
@@ -156,9 +166,9 @@ func newCatalog(prefix string, otherFns int) *catalog {
 	for i := 0; i < otherFns; i++ {
 		v := verbs[i%len(verbs)]
 		n := nouns[(i/len(verbs))%len(nouns)]
-		c.other = append(c.other, fmt.Sprintf("%s%s_%s_%d", prefix, v, n, i%7))
+		c.other = append(c.other, sim.Intern(fmt.Sprintf("%s%s_%s_%d", prefix, v, n, i%7)))
 	}
 	return c
 }
 
-func pick(pool []string, i int) string { return pool[i%len(pool)] }
+func pick[T any](pool []T, i int) T { return pool[i%len(pool)] }

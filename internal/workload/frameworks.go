@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"repro/internal/hashmap"
+	"repro/internal/sim"
 	"repro/internal/vm"
 )
 
@@ -98,7 +99,10 @@ func (s *symfonyApp) renderSymfonyPage(rt *vm.Runtime, page int) []byte {
 	// persistent cache (the container is built once per worker).
 	for i := 0; i < 25; i++ {
 		k := hashmap.StrKey(fmt.Sprintf("meta_%s_%d", pick(templateVars, page+i), (page+i)%48))
-		rt.AGet("sf_container_get", s.dbCache, k, true)
+		rt.AGet(fnSFContainerGet, s.dbCache, k, true)
 	}
 	return out
 }
+
+// fnSFContainerGet is the Symfony service-container lookup.
+var fnSFContainerGet = sim.Intern("sf_container_get")

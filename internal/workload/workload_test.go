@@ -142,6 +142,16 @@ func TestProfileShapeFlatForPHPHotForSPECWeb(t *testing.T) {
 	if sw.HottestFrac() < 0.5 {
 		t.Errorf("specweb hottest %0.3f, want dominant", sw.HottestFrac())
 	}
+
+	// The SPECWeb tail's 24 function names are interned once, not
+	// formatted per request: a steady-state request allocates only its
+	// output buffer.
+	app := NewSPECWebBanking(2).(PageApp)
+	rt := swRuntime()
+	page := 0
+	if n := testing.AllocsPerRun(200, func() { page++; app.ServePage(rt, page) }); n > 2 {
+		t.Errorf("specweb request allocates %v times, want <= 2", n)
+	}
 }
 
 func TestAcceleratorsImproveEveryApp(t *testing.T) {
@@ -181,10 +191,10 @@ func TestCatalogShapes(t *testing.T) {
 	if len(c.other) != 150 {
 		t.Errorf("other catalog size %d", len(c.other))
 	}
-	seen := map[string]bool{}
+	seen := map[sim.Fn]bool{}
 	for _, f := range c.other {
 		if seen[f] {
-			t.Fatalf("duplicate other function %q", f)
+			t.Fatalf("duplicate other function %q", f.String())
 		}
 		seen[f] = true
 	}
