@@ -60,6 +60,8 @@ ci: check
 	$(GO) test -run '^$$' -fuzz '^FuzzStraccelVsStrlib$$' -fuzztime 10s ./internal/core/straccel/
 	$(GO) test -run '^$$' -fuzz '^FuzzStrlibReplace$$' -fuzztime 10s ./internal/strlib/
 	$(GO) test -run '^$$' -fuzz '^FuzzMeterVsMapModel$$' -fuzztime 10s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzHashTableVsModel$$' -fuzztime 10s ./internal/core/hashtable/
+	$(GO) test -run '^$$' -fuzz '^FuzzHeapVsLiveMap$$' -fuzztime 10s ./internal/heap/
 	$(GO) test -race -count=1 ./internal/serve/
 	$(GO) test -race -count=1 ./internal/cache/
 	$(GO) test -race -count=1 ./internal/obs/ ./internal/profile/

@@ -769,13 +769,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			obs.Sample{Value: finite(cs.HitRatio())})
 	}
 
-	if ps.Trace != nil {
-		totals := ps.Trace.KindTotals()
+	if ps.TraceKinds != nil {
 		kinds := make([]obs.Sample, 0, trace.NumKinds)
-		for k := 0; k < trace.NumKinds; k++ {
+		for k, n := range ps.TraceKinds {
 			kinds = append(kinds, obs.Sample{
 				Labels: []obs.Label{{Name: "kind", Value: trace.Kind(k).String()}},
-				Value:  float64(totals[k]),
+				Value:  float64(n),
 			})
 		}
 		e.Counter("phpserve_trace_events_total",

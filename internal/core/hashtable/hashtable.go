@@ -67,17 +67,18 @@ func (c Config) sanitized() Config {
 	return c
 }
 
-// entry is one hardware hash table row.
+// entry is one hardware hash table row. Its valid bit lives in the
+// table's tag array.
 type entry struct {
-	valid  bool
 	dirty  bool
+	rttPos int32  // back-pointer slot in the RTT entry, -1 if untracked
 	mapID  uint64 // 8-byte base address of the software hash map
 	key    hashmap.Key
 	val    interface{}
 	seq    uint64 // ordered-table position for writeback
 	lru    uint64 // last-access timestamp
-	rttPos int    // back-pointer slot in the RTT entry, -1 if untracked
 	m      *hashmap.Map
+	re     *rttEntry // the map's RTT entry, read while rttPos >= 0
 }
 
 // rttEntry is the Reverse Translation Table row for one hash map: a
@@ -136,7 +137,11 @@ func (s Stats) HitRate() float64 {
 type Table struct {
 	cfg     Config
 	entries []entry
-	rtt     map[uint64]*rttEntry
+	// tags[i] is entry i's table hash with bit 0 set while the entry is
+	// valid, 0 while it is not: a probe window reads these few words and
+	// touches an entry only when its tag matches.
+	tags []uint64
+	rtt  map[uint64]*rttEntry
 	// rttFree recycles rttEntry structures (and their back-pointer
 	// backing) as maps die and are born; request-scoped arrays otherwise
 	// allocate a fresh tracking entry per map.
@@ -151,6 +156,7 @@ func New(cfg Config) *Table {
 	t := &Table{
 		cfg:     cfg,
 		entries: make([]entry, cfg.Entries),
+		tags:    make([]uint64, cfg.Entries),
 		rtt:     make(map[uint64]*rttEntry),
 	}
 	for i := range t.entries {
@@ -168,10 +174,11 @@ func (t *Table) Stats() Stats { return t.stats }
 // ResetStats clears the activity counters.
 func (t *Table) ResetStats() { t.stats = Stats{} }
 
-// hash combines the map base address and the key, mirroring the paper's
-// simplified hardware hash function.
-func (t *Table) hash(mapID uint64, k hashmap.Key) uint64 {
-	h := k.Hash() ^ (mapID * 0x9e3779b97f4a7c15)
+// tableHash combines the map base address and the key's hash kh
+// (hashmap.Key.Hash), mirroring the paper's simplified hardware hash
+// function.
+func tableHash(mapID, kh uint64) uint64 {
+	h := kh ^ (mapID * 0x9e3779b97f4a7c15)
 	h ^= h >> 29
 	return h
 }
@@ -199,18 +206,20 @@ func (t *Table) Get(m *hashmap.Map, k hashmap.Key) (interface{}, GetResult) {
 		return v, GetResult{Bypass: true, Found: ok}
 	}
 	t.stats.Gets++
-	if idx := t.lookup(m.ID(), k); idx >= 0 {
+	kh := k.Hash()
+	h := tableHash(m.ID(), kh)
+	if idx := t.lookup(h, m.ID(), k); idx >= 0 {
 		t.stats.GetHits++
 		t.entries[idx].lru = t.tick()
 		return t.entries[idx].val, GetResult{Hit: true, Found: true}
 	}
 	// Software fallback: regular hash map access in memory.
-	v, seq, ok := m.GetWithSeq(k)
+	v, seq, ok := m.GetWithSeq(k, kh)
 	if !ok {
 		return nil, GetResult{}
 	}
 	res := GetResult{Found: true}
-	res.EvictedDirty = t.install(m, k, v, seq, false)
+	res.EvictedDirty = t.install(h, m, k, v, seq, false)
 	return v, res
 }
 
@@ -238,7 +247,9 @@ func (t *Table) Set(m *hashmap.Map, k hashmap.Key, v interface{}) SetResult {
 		// software append reads from memory.
 		m.BumpIntKey(k.Int)
 	}
-	if idx := t.lookup(m.ID(), k); idx >= 0 {
+	kh := k.Hash()
+	h := tableHash(m.ID(), kh)
+	if idx := t.lookup(h, m.ID(), k); idx >= 0 {
 		e := &t.entries[idx]
 		e.val = v
 		e.dirty = true
@@ -248,30 +259,26 @@ func (t *Table) Set(m *hashmap.Map, k hashmap.Key, v interface{}) SetResult {
 	}
 	// The key may already exist in the software map; reuse its ordered
 	// position so a future writeback does not duplicate or reorder it.
-	seq, existed := t.seqOf(m, k)
+	// This is the hardware's coherence read of the software structure; it
+	// happens on the SET-miss path that already pays a memory access.
+	_, seq, existed := m.GetWithSeq(k, kh)
 	if !existed {
 		seq = m.ReserveSeq()
 	}
-	evicted := t.install(m, k, v, seq, true)
+	evicted := t.install(h, m, k, v, seq, true)
 	return SetResult{EvictedDirty: evicted}
 }
 
-// seqOf returns the ordered-table position of k in m if present. This is
-// the hardware's coherence read of the software structure; it happens on
-// the SET-miss path that already pays a memory access.
-func (t *Table) seqOf(m *hashmap.Map, k hashmap.Key) (uint64, bool) {
-	_, seq, ok := m.GetWithSeq(k)
-	return seq, ok
-}
-
 // Delete removes a key from both the table and the software map (PHP
-// unset). The cached copy is dropped without writeback since the pair is
-// being destroyed.
+// unset), reporting whether it was present. The cached copy is dropped
+// without writeback since the pair is being destroyed; a pair buffered
+// only in the table was present all the same.
 func (t *Table) Delete(m *hashmap.Map, k hashmap.Key) bool {
-	if idx := t.lookup(m.ID(), k); idx >= 0 {
+	idx := t.lookupKey(m.ID(), k)
+	if idx >= 0 {
 		t.invalidate(idx)
 	}
-	return m.Delete(k)
+	return m.Delete(k) || idx >= 0
 }
 
 // FreeResult reports how a Free was served.
@@ -297,7 +304,7 @@ func (t *Table) Free(m *hashmap.Map) FreeResult {
 		t.stats.FreeScans++
 		res.Scanned = true
 		for i := range t.entries {
-			if t.entries[i].valid && t.entries[i].mapID == m.ID() {
+			if t.tags[i] != 0 && t.entries[i].mapID == m.ID() {
 				t.invalidate(i)
 				res.Invalidated++
 			}
@@ -333,7 +340,7 @@ func (t *Table) CoherentRead(m *hashmap.Map, k hashmap.Key) bool {
 	if k.Len() > t.cfg.MaxKeyBytes {
 		return false
 	}
-	idx := t.lookup(m.ID(), k)
+	idx := t.lookupKey(m.ID(), k)
 	if idx < 0 || !t.entries[idx].dirty {
 		return false
 	}
@@ -347,14 +354,20 @@ func (t *Table) CoherentRead(m *hashmap.Map, k hashmap.Key) bool {
 // CoherentWrite makes a software store of (m, k) coherent with the
 // table: any cached copy of the pair is invalidated so later
 // hashtablegets refetch the stored value from memory instead of serving
-// a stale hardware copy. It reports whether an entry was dropped.
+// a stale hardware copy. A dirty copy is written back first, so a pair
+// buffered only in the table keeps its insertion position when the store
+// lands. It reports whether an entry was dropped.
 func (t *Table) CoherentWrite(m *hashmap.Map, k hashmap.Key) bool {
 	if k.Len() > t.cfg.MaxKeyBytes {
 		return false
 	}
-	idx := t.lookup(m.ID(), k)
+	idx := t.lookupKey(m.ID(), k)
 	if idx < 0 {
 		return false
+	}
+	if e := &t.entries[idx]; e.dirty {
+		e.m.WritebackSeq(e.key, e.val, e.seq)
+		t.stats.Writebacks++
 	}
 	t.invalidate(idx)
 	return true
@@ -370,7 +383,7 @@ func (t *Table) FlushMap(m *hashmap.Map) int {
 	written := 0
 	flush := func(i int) {
 		e := &t.entries[i]
-		if e.valid && e.mapID == m.ID() && e.dirty {
+		if t.tags[i] != 0 && e.mapID == m.ID() && e.dirty {
 			m.WritebackSeq(e.key, e.val, e.seq)
 			e.dirty = false
 			written++
@@ -400,7 +413,7 @@ func (t *Table) OnRemoteCoherence(m *hashmap.Map) {
 	if re := t.rtt[m.ID()]; re != nil {
 		if re.overflow {
 			for i := range t.entries {
-				if t.entries[i].valid && t.entries[i].mapID == m.ID() {
+				if t.tags[i] != 0 && t.entries[i].mapID == m.ID() {
 					t.invalidate(i)
 				}
 			}
@@ -424,7 +437,7 @@ func (t *Table) FlushAll() int {
 	staled := map[uint64]*hashmap.Map{}
 	for i := range t.entries {
 		e := &t.entries[i]
-		if !e.valid {
+		if t.tags[i] == 0 {
 			continue
 		}
 		if e.dirty {
@@ -438,35 +451,47 @@ func (t *Table) FlushAll() int {
 	for _, m := range staled {
 		m.MarkStale()
 	}
-	t.rtt = make(map[uint64]*rttEntry)
+	for id := range t.rtt {
+		t.recycleRTT(id)
+	}
 	return written
 }
 
 // Len returns the number of valid entries.
 func (t *Table) Len() int {
 	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
+	for _, tag := range t.tags {
+		if tag != 0 {
 			n++
 		}
 	}
 	return n
 }
 
-// lookup probes the window for (mapID, key), returning the entry index or
-// -1. Hardware examines the window's entries in parallel; cost is
-// constant regardless of where in the window the key sits.
-func (t *Table) lookup(mapID uint64, k hashmap.Key) int {
-	h := t.hash(mapID, k)
-	base := int(h % uint64(len(t.entries)))
+// lookup probes the window of table hash h for (mapID, key), returning
+// the entry index or -1. Hardware examines the window's entries in
+// parallel; cost is constant regardless of where in the window the key
+// sits.
+func (t *Table) lookup(h, mapID uint64, k hashmap.Key) int {
+	tag := h | 1
+	n := len(t.tags)
+	i := int(h % uint64(n))
 	for w := 0; w < t.cfg.ProbeWindow; w++ {
-		i := (base + w) % len(t.entries)
-		e := &t.entries[i]
-		if e.valid && e.mapID == mapID && keyEq(e.key, k) {
-			return i
+		if t.tags[i] == tag {
+			if e := &t.entries[i]; e.mapID == mapID && keyEq(e.key, k) {
+				return i
+			}
+		}
+		if i++; i == n {
+			i = 0
 		}
 	}
 	return -1
+}
+
+// lookupKey is lookup for an access that has not hashed the key yet.
+func (t *Table) lookupKey(mapID uint64, k hashmap.Key) int {
+	return t.lookup(tableHash(mapID, k.Hash()), mapID, k)
 }
 
 func keyEq(a, b hashmap.Key) bool {
@@ -479,27 +504,29 @@ func keyEq(a, b hashmap.Key) bool {
 	return a.Str == b.Str
 }
 
-// install places a pair into the table, choosing a victim within the
-// probe window: invalid first, then LRU clean, then LRU dirty (which
-// costs a software writeback). It reports whether a dirty writeback
-// happened.
-func (t *Table) install(m *hashmap.Map, k hashmap.Key, v interface{}, seq uint64, dirty bool) bool {
-	h := t.hash(m.ID(), k)
-	base := int(h % uint64(len(t.entries)))
+// install places a pair with table hash h into the table, choosing a
+// victim within the probe window: invalid first, then LRU clean, then LRU
+// dirty (which costs a software writeback). It reports whether a dirty
+// writeback happened.
+func (t *Table) install(h uint64, m *hashmap.Map, k hashmap.Key, v interface{}, seq uint64, dirty bool) bool {
+	n := len(t.tags)
+	i := int(h % uint64(n))
 
 	victim, victimKind := -1, 3 // 0 invalid, 1 clean, 2 dirty
 	var victimLRU uint64
 	for w := 0; w < t.cfg.ProbeWindow; w++ {
-		i := (base + w) % len(t.entries)
 		e := &t.entries[i]
 		kind := 2
-		if !e.valid {
+		if t.tags[i] == 0 {
 			kind = 0
 		} else if !e.dirty {
 			kind = 1
 		}
 		if kind < victimKind || (kind == victimKind && e.lru < victimLRU) {
 			victim, victimKind, victimLRU = i, kind, e.lru
+		}
+		if i++; i == n {
+			i = 0
 		}
 	}
 
@@ -519,7 +546,7 @@ func (t *Table) install(m *hashmap.Map, k hashmap.Key, v interface{}, seq uint64
 	}
 
 	e := &t.entries[victim]
-	e.valid = true
+	t.tags[victim] = h | 1
 	e.dirty = dirty
 	e.mapID = m.ID()
 	e.key = k
@@ -527,19 +554,20 @@ func (t *Table) install(m *hashmap.Map, k hashmap.Key, v interface{}, seq uint64
 	e.seq = seq
 	e.lru = t.tick()
 	e.m = m
-	e.rttPos = t.rttTrack(m, victim)
+	e.re, e.rttPos = t.rttTrack(m, victim)
 	return evictedDirty
 }
 
 // invalidate clears an entry and its RTT back pointer.
 func (t *Table) invalidate(i int) {
 	e := &t.entries[i]
-	if e.valid && e.rttPos >= 0 {
-		if re := t.rtt[e.mapID]; re != nil && e.rttPos < len(re.back) && re.back[e.rttPos] == int32(i) {
+	if t.tags[i] != 0 && e.rttPos >= 0 {
+		if re := e.re; int(e.rttPos) < len(re.back) && re.back[e.rttPos] == int32(i) {
 			re.back[e.rttPos] = -1
 		}
 	}
 	*e = entry{rttPos: -1}
+	t.tags[i] = 0
 }
 
 // recycleRTT removes the map's tracking entry and pushes it on the free
@@ -556,9 +584,9 @@ func (t *Table) recycleRTT(id uint64) {
 }
 
 // rttTrack records a back pointer for the newly installed entry through
-// the map's RTT write pointer, returning the slot used (or -1 after
-// overflow).
-func (t *Table) rttTrack(m *hashmap.Map, tableIdx int) int {
+// the map's RTT write pointer, returning the map's RTT entry and the slot
+// used (or -1 after overflow).
+func (t *Table) rttTrack(m *hashmap.Map, tableIdx int) (*rttEntry, int32) {
 	re := t.rtt[m.ID()]
 	if re == nil {
 		if n := len(t.rttFree); n > 0 {
@@ -572,16 +600,16 @@ func (t *Table) rttTrack(m *hashmap.Map, tableIdx int) int {
 		t.rtt[m.ID()] = re
 	}
 	if re.overflow {
-		return -1
+		return re, -1
 	}
 	if re.writePtr >= t.cfg.RTTPointers {
 		// Circular buffer exhausted: stop tracking order precisely; Free
 		// and flush fall back to scanning.
 		re.overflow = true
-		return -1
+		return re, -1
 	}
 	re.back = append(re.back, int32(tableIdx))
 	pos := re.writePtr
 	re.writePtr++
-	return pos
+	return re, int32(pos)
 }

@@ -12,8 +12,9 @@
 package hashmap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -128,6 +129,12 @@ type Map struct {
 	nextIntKey int64  // PHP's next automatic integer key
 	nextSeq    uint64 // next insertion sequence number
 	unordered  bool   // a writeback landed out of sequence order
+
+	// snap is Foreach's snapshot buffer, reused call to call; iterating
+	// marks it in use, so a Foreach nested in another on the same map
+	// snapshots into a fresh slice instead.
+	snap      []entry
+	iterating bool
 }
 
 // New creates an empty map. obs may be nil. The map ID comes from a
@@ -249,7 +256,14 @@ func (m *Map) rebuildIndex(n int) {
 		}
 	}
 	m.entries = live
-	m.index = newIndex(n)
+	if cap(m.index) >= n {
+		m.index = m.index[:n]
+		for i := range m.index {
+			m.index[i] = emptySlot
+		}
+	} else {
+		m.index = newIndex(n)
+	}
 	m.mask = uint64(n - 1)
 	for i := range m.entries {
 		slot := m.entries[i].key.Hash() & m.mask
@@ -263,10 +277,10 @@ func (m *Map) rebuildIndex(n int) {
 	}
 }
 
-// findSlot locates the key. It returns the index slot, the entry position
-// (or -1), and the number of probes performed plus key bytes compared.
-func (m *Map) findSlot(k Key) (slot uint64, pos int32, probes, keyBytes int) {
-	h := k.Hash()
+// findSlot locates the key, whose hash is h (k.Hash()). It returns the
+// index slot, the entry position (or -1), and the number of probes
+// performed plus key bytes compared.
+func (m *Map) findSlot(k Key, h uint64) (slot uint64, pos int32, probes, keyBytes int) {
 	slot = h & m.mask
 	firstTomb := uint64(1<<63 - 1)
 	for {
@@ -305,7 +319,7 @@ func (m *Map) findSlot(k Key) (slot uint64, pos int32, probes, keyBytes int) {
 // Get looks up a key, returning its value and whether it was present.
 func (m *Map) Get(k Key) (interface{}, bool) {
 	m.ensureFresh()
-	_, pos, probes, kb := m.findSlot(k)
+	_, pos, probes, kb := m.findSlot(k, k.Hash())
 	if m.obs != nil {
 		m.obs.OnWalk(OpGet, probes, kb, false)
 	}
@@ -318,7 +332,7 @@ func (m *Map) Get(k Key) (interface{}, bool) {
 // Set inserts or updates a key. New keys append to the insertion order.
 func (m *Map) Set(k Key, v interface{}) {
 	m.ensureFresh()
-	slot, pos, probes, kb := m.findSlot(k)
+	slot, pos, probes, kb := m.findSlot(k, k.Hash())
 	inserted := pos < 0
 	if inserted {
 		m.entries = append(m.entries, entry{key: k, val: v, seq: m.nextSeq})
@@ -352,7 +366,7 @@ func (m *Map) Append(v interface{}) Key {
 // Delete removes a key, reporting whether it was present.
 func (m *Map) Delete(k Key) bool {
 	m.ensureFresh()
-	slot, pos, probes, kb := m.findSlot(k)
+	slot, pos, probes, kb := m.findSlot(k, k.Hash())
 	if m.obs != nil {
 		m.obs.OnWalk(OpDelete, probes, kb, false)
 	}
@@ -397,7 +411,14 @@ func (m *Map) grow() {
 func (m *Map) Foreach(f func(k Key, v interface{}) bool) {
 	m.ensureFresh()
 	m.ensureOrdered()
-	snap := make([]entry, 0, m.size)
+	var snap []entry
+	owner := !m.iterating
+	if owner {
+		snap = m.snap[:0]
+		m.iterating = true
+	} else {
+		snap = make([]entry, 0, m.size)
+	}
 	for i := range m.entries {
 		if !m.entries[i].dead {
 			snap = append(snap, m.entries[i])
@@ -409,6 +430,11 @@ func (m *Map) Foreach(f func(k Key, v interface{}) bool) {
 		if !f(snap[i].key, snap[i].val) {
 			break
 		}
+	}
+	if owner {
+		clear(snap) // do not pin the values until the next Foreach
+		m.snap = snap[:0]
+		m.iterating = false
 	}
 	if m.obs != nil {
 		m.obs.OnWalk(OpIterate, n, 0, false)
@@ -453,10 +479,13 @@ func (m *Map) ReserveSeq() uint64 {
 }
 
 // GetWithSeq is Get plus the entry's insertion sequence number, which the
-// hardware hash table caches so writebacks preserve iteration order.
-func (m *Map) GetWithSeq(k Key) (v interface{}, seq uint64, ok bool) {
+// hardware hash table caches so writebacks preserve iteration order. The
+// caller has hashed the key already (h must be k.Hash()): the hardware
+// table's miss path shares one hash between its own index and this
+// software walk.
+func (m *Map) GetWithSeq(k Key, h uint64) (v interface{}, seq uint64, ok bool) {
 	m.ensureFresh()
-	_, pos, probes, kb := m.findSlot(k)
+	_, pos, probes, kb := m.findSlot(k, h)
 	if m.obs != nil {
 		m.obs.OnWalk(OpGet, probes, kb, false)
 	}
@@ -474,7 +503,7 @@ func (m *Map) GetWithSeq(k Key) (v interface{}, seq uint64, ok bool) {
 // repaired on the next ordered access.
 func (m *Map) WritebackSeq(k Key, v interface{}, seq uint64) bool {
 	m.ensureFresh()
-	slot, pos, _, _ := m.findSlot(k)
+	slot, pos, _, _ := m.findSlot(k, k.Hash())
 	if pos >= 0 {
 		m.entries[pos].val = v
 		return true
@@ -505,7 +534,7 @@ func (m *Map) ensureOrdered() {
 		return
 	}
 	m.unordered = false
-	sort.SliceStable(m.entries, func(i, j int) bool { return m.entries[i].seq < m.entries[j].seq })
+	slices.SortStableFunc(m.entries, func(a, b entry) int { return cmp.Compare(a.seq, b.seq) })
 	m.rebuildIndex(len(m.index))
 }
 

@@ -396,6 +396,58 @@ func TestForeachSurvivesCallbackSet(t *testing.T) {
 	}
 }
 
+// TestForeachSteadyStateAllocs: a Foreach that is not nested in another
+// on the same map snapshots into the map's reused buffer, so once the
+// buffer has grown it allocates nothing.
+func TestForeachSteadyStateAllocs(t *testing.T) {
+	m := New(nil)
+	for i := 0; i < 20; i++ {
+		m.Set(StrKey(fmt.Sprintf("k%d", i)), i)
+	}
+	n := 0
+	count := func(Key, interface{}) bool { n++; return true }
+	if allocs := testing.AllocsPerRun(100, func() { m.Foreach(count) }); allocs != 0 {
+		t.Errorf("Foreach allocates %v times per call, want 0", allocs)
+	}
+	if n != 20*101 {
+		t.Errorf("visited %d pairs, want %d", n, 20*101)
+	}
+}
+
+// TestForeachNestedSameMap: a Foreach nested in another over the same map
+// takes its own snapshot, so neither the inner walk nor the inner
+// callback's inserts disturb the outer walk's copy.
+func TestForeachNestedSameMap(t *testing.T) {
+	m := New(nil)
+	for i := 0; i < 4; i++ {
+		m.Set(IntKey(int64(i)), i)
+	}
+	var outer []int64
+	inner := 0
+	m.Foreach(func(k Key, v interface{}) bool {
+		outer = append(outer, k.Int)
+		m.Foreach(func(Key, interface{}) bool {
+			inner++
+			m.Set(StrKey(fmt.Sprintf("in-%d", inner)), 0)
+			return true
+		})
+		return true
+	})
+	if fmt.Sprint(outer) != "[0 1 2 3]" {
+		t.Errorf("outer walk visited %v, want [0 1 2 3]", outer)
+	}
+	// Each inner walk sees every pair present when it starts.
+	if want := 4 + 8 + 16 + 32; inner != want {
+		t.Errorf("inner walks visited %d pairs, want %d", inner, want)
+	}
+	// The reused buffer is free again: a later walk sees the whole map.
+	seen := 0
+	m.Foreach(func(Key, interface{}) bool { seen++; return true })
+	if seen != m.Size() {
+		t.Errorf("walk after nesting visited %d of %d pairs", seen, m.Size())
+	}
+}
+
 // TestForeachSurvivesCallbackDelete covers deletes during iteration: every
 // key live at the start is still visited exactly once (copy semantics).
 func TestForeachSurvivesCallbackDelete(t *testing.T) {

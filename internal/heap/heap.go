@@ -99,9 +99,18 @@ type Stats struct {
 // Allocator is the software slab allocator. Not safe for concurrent use;
 // PHP requests are process-private (§4.2), so each simulated request
 // context owns one.
+//
+// Liveness is dense: each carved chunk keeps one bit per segment, so the
+// per-operation check is a search over the chunks (a handful per core)
+// and a mask test. Kernel-direct blocks, and any address a caller marks
+// live outside a chunk of its class, are tracked in a map that holds only
+// the blocks live right now.
 type Allocator struct {
 	free     [][]uint64 // per-class free lists (LIFO)
-	live     map[uint64]int
+	chunks   []chunk    // carved slab chunks, ascending base address
+	recent   []int      // per class: index of the chunk it last touched
+	huge     map[uint64]int
+	nLive    int
 	nextAddr uint64
 	obs      Observer
 	stats    Stats
@@ -110,6 +119,32 @@ type Allocator struct {
 	sampleEvery int
 	opCount     int64
 	timeline    []Sample
+}
+
+// chunk is one slab refill: chunkSegments segments of one class with a
+// liveness bit per segment.
+type chunk struct {
+	base  uint64
+	size  uint64 // chunkSegments segments
+	seg   uint64 // segment size in bytes
+	inv   uint64 // ceil(2^40 / seg): segment index = offset*inv >> 40
+	class int
+	live  uint64 // bit i set: segment i is a live block
+}
+
+// bit returns the liveness bit of the segment starting at addr, or 0 if
+// no segment of ch starts there. The multiply by inv divides exactly:
+// offsets stay below 2^18, so its error never reaches the next integer.
+func (ch *chunk) bit(addr uint64) uint64 {
+	off := addr - ch.base
+	if off >= ch.size {
+		return 0
+	}
+	i := off * ch.inv >> 40
+	if i*ch.seg != off {
+		return 0
+	}
+	return 1 << i
 }
 
 // Sample is one point of the live-memory timeline (Fig. 8b/c): live bytes
@@ -124,7 +159,8 @@ type Sample struct {
 func NewAllocator(obs Observer, sampleEvery int) *Allocator {
 	a := &Allocator{
 		free:        make([][]uint64, len(sizeClasses)),
-		live:        make(map[uint64]int),
+		recent:      make([]int, len(sizeClasses)),
+		huge:        make(map[uint64]int),
 		nextAddr:    0x10000,
 		obs:         obs,
 		sampleEvery: sampleEvery,
@@ -138,7 +174,6 @@ func NewAllocator(obs Observer, sampleEvery int) *Allocator {
 
 // Alloc returns a block of at least size bytes.
 func (a *Allocator) Alloc(size int) Block {
-	defer a.tick()
 	c := ClassFor(size)
 	if c < 0 {
 		a.stats.HugeAllocs++
@@ -146,7 +181,9 @@ func (a *Allocator) Alloc(size int) Block {
 			a.obs.OnHuge(size)
 		}
 		addr := a.carve(uint64(size))
-		a.live[addr] = -1
+		a.huge[addr] = -1
+		a.nLive++
+		a.tick()
 		return Block{Addr: addr, Class: -1, Size: size}
 	}
 	if len(a.free[c]) == 0 {
@@ -155,40 +192,37 @@ func (a *Allocator) Alloc(size int) Block {
 	fl := a.free[c]
 	addr := fl[len(fl)-1]
 	a.free[c] = fl[:len(fl)-1]
-	a.live[addr] = c
-	a.stats.AllocsByClass[c]++
-	a.stats.LiveByClass[c]++
-	liveBytes := a.stats.LiveByClass[c] * int64(sizeClasses[c])
-	if liveBytes > a.stats.PeakLiveBytesByClass[c] {
-		a.stats.PeakLiveBytesByClass[c] = liveBytes
-	}
+	ch, bit := a.segment(addr, c)
+	a.setLive(ch, bit, addr, c)
+	a.countAlloc(c)
 	if a.obs != nil {
 		a.obs.OnAlloc(c)
 	}
+	a.tick()
 	return Block{Addr: addr, Class: c, Size: size}
 }
 
 // Free returns a block to its slab free list. Freeing an address that is
 // not live panics: that is allocator corruption, not a recoverable error.
 func (a *Allocator) Free(b Block) {
-	defer a.tick()
-	c, ok := a.live[b.Addr]
+	ch, bit := a.segment(b.Addr, b.Class)
+	c, ok := a.liveClass(ch, bit, b.Addr)
 	if !ok {
 		panic(fmt.Sprintf("heap: double free or wild free of %#x", b.Addr))
 	}
 	if c != b.Class {
 		panic(fmt.Sprintf("heap: block %#x freed with class %d, allocated as %d", b.Addr, b.Class, c))
 	}
-	delete(a.live, b.Addr)
-	if c < 0 {
-		return // huge block goes back to the kernel
+	a.clearLive(ch, bit, b.Addr)
+	if c >= 0 { // a huge block goes back to the kernel
+		a.free[c] = append(a.free[c], b.Addr)
+		a.stats.FreesByClass[c]++
+		a.stats.LiveByClass[c]--
+		if a.obs != nil {
+			a.obs.OnFree(c)
+		}
 	}
-	a.free[c] = append(a.free[c], b.Addr)
-	a.stats.FreesByClass[c]++
-	a.stats.LiveByClass[c]--
-	if a.obs != nil {
-		a.obs.OnFree(c)
-	}
+	a.tick()
 }
 
 // PopFree removes up to n segment addresses from class c's free list and
@@ -210,7 +244,8 @@ func (a *Allocator) PopFree(c int, n int, dst []uint64) []uint64 {
 }
 
 // PushFree returns segment addresses to class c's free list; the hardware
-// heap manager's flush/overflow path uses it (§4.3 lazy writeback).
+// heap manager's flush/overflow path uses it (§4.3 lazy writeback). The
+// addresses must be dead ones PopFree took from class c.
 func (a *Allocator) PushFree(c int, addrs []uint64) {
 	a.free[c] = append(a.free[c], addrs...)
 }
@@ -219,16 +254,12 @@ func (a *Allocator) PushFree(c int, addrs []uint64) {
 // hardware heap manager, preserving the no-double-alloc invariant across
 // the hardware/software boundary.
 func (a *Allocator) MarkLive(addr uint64, c int) {
-	if old, ok := a.live[addr]; ok {
+	ch, bit := a.segment(addr, c)
+	if old, ok := a.liveClass(ch, bit, addr); ok {
 		panic(fmt.Sprintf("heap: address %#x already live (class %d)", addr, old))
 	}
-	a.live[addr] = c
-	a.stats.AllocsByClass[c]++
-	a.stats.LiveByClass[c]++
-	liveBytes := a.stats.LiveByClass[c] * int64(sizeClasses[c])
-	if liveBytes > a.stats.PeakLiveBytesByClass[c] {
-		a.stats.PeakLiveBytesByClass[c] = liveBytes
-	}
+	a.setLive(ch, bit, addr, c)
+	a.countAlloc(c)
 	a.tick()
 }
 
@@ -236,18 +267,19 @@ func (a *Allocator) MarkLive(addr uint64, c int) {
 // manager. The address stays owned by the hardware free list until it is
 // flushed back via PushFree.
 func (a *Allocator) MarkDead(addr uint64, c int) {
-	got, ok := a.live[addr]
+	ch, bit := a.segment(addr, c)
+	got, ok := a.liveClass(ch, bit, addr)
 	if !ok || got != c {
 		panic(fmt.Sprintf("heap: MarkDead of non-live %#x (class %d)", addr, c))
 	}
-	delete(a.live, addr)
+	a.clearLive(ch, bit, addr)
 	a.stats.FreesByClass[c]++
 	a.stats.LiveByClass[c]--
 	a.tick()
 }
 
 // LiveCount returns the number of live blocks.
-func (a *Allocator) LiveCount() int { return len(a.live) }
+func (a *Allocator) LiveCount() int { return a.nLive }
 
 // FreeListLen returns the length of class c's free list.
 func (a *Allocator) FreeListLen(c int) int { return len(a.free[c]) }
@@ -290,9 +322,91 @@ func (a *Allocator) refill(c int) {
 	}
 	seg := uint64(sizeClasses[c])
 	base := a.carve(seg * chunkSegments)
+	a.chunks = append(a.chunks, chunk{base: base, size: seg * chunkSegments, seg: seg, inv: (1<<40 + seg - 1) / seg, class: c})
+	a.recent[c] = len(a.chunks) - 1
 	for i := chunkSegments - 1; i >= 0; i-- {
 		a.free[c] = append(a.free[c], base+uint64(i)*seg)
 	}
+}
+
+// countAlloc records one more live block of slab class c.
+func (a *Allocator) countAlloc(c int) {
+	a.stats.AllocsByClass[c]++
+	a.stats.LiveByClass[c]++
+	liveBytes := a.stats.LiveByClass[c] * int64(sizeClasses[c])
+	if liveBytes > a.stats.PeakLiveBytesByClass[c] {
+		a.stats.PeakLiveBytesByClass[c] = liveBytes
+	}
+}
+
+// segment returns the chunk whose segment starts at addr and that
+// segment's liveness bit, or a nil chunk if no carved segment starts
+// there. Class c's most recently touched chunk is tried first.
+func (a *Allocator) segment(addr uint64, c int) (*chunk, uint64) {
+	if c >= 0 && c < len(a.recent) && a.recent[c] < len(a.chunks) {
+		if ch := &a.chunks[a.recent[c]]; addr-ch.base < ch.size {
+			if bit := ch.bit(addr); bit != 0 {
+				return ch, bit
+			}
+			return nil, 0
+		}
+	}
+	lo, hi := 0, len(a.chunks)
+	for lo < hi { // first chunk with base > addr
+		m := int(uint(lo+hi) >> 1)
+		if a.chunks[m].base <= addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == 0 {
+		return nil, 0
+	}
+	ch := &a.chunks[lo-1]
+	bit := ch.bit(addr)
+	if bit == 0 {
+		return nil, 0
+	}
+	if ch.class == c {
+		a.recent[c] = lo - 1
+	}
+	return ch, bit
+}
+
+// liveClass reports the class addr is live as; ch and bit come from
+// segment.
+func (a *Allocator) liveClass(ch *chunk, bit uint64, addr uint64) (int, bool) {
+	if ch != nil && ch.live&bit != 0 {
+		return ch.class, true
+	}
+	if len(a.huge) == 0 {
+		return 0, false
+	}
+	c, ok := a.huge[addr]
+	return c, ok
+}
+
+// setLive marks the non-live addr live as class c: in its chunk's mask
+// when a class-c chunk holds it, else in the map. ch and bit come from
+// segment.
+func (a *Allocator) setLive(ch *chunk, bit uint64, addr uint64, c int) {
+	if ch != nil && ch.class == c {
+		ch.live |= bit
+	} else {
+		a.huge[addr] = c
+	}
+	a.nLive++
+}
+
+// clearLive marks the live addr dead; ch and bit come from segment.
+func (a *Allocator) clearLive(ch *chunk, bit uint64, addr uint64) {
+	if ch != nil && ch.live&bit != 0 {
+		ch.live &^= bit
+	} else {
+		delete(a.huge, addr)
+	}
+	a.nLive--
 }
 
 // carve allocates address space for a new chunk, 16-byte aligned.

@@ -283,6 +283,22 @@ func TestAllocatorIntegrityProperty(t *testing.T) {
 	}
 }
 
+// TestLivenessBoundedBySlabSpace: liveness state grows with the carved
+// slab chunks only; kernel-direct blocks leave nothing behind once freed.
+func TestLivenessBoundedBySlabSpace(t *testing.T) {
+	a := NewAllocator(nil, 0)
+	small := a.Alloc(24)
+	for i := 0; i < 1000; i++ {
+		a.Free(a.Alloc(MaxSlabSize + 1 + i))
+		a.Free(a.Alloc(24))
+	}
+	if len(a.huge) != 0 || len(a.chunks) != 1 || a.LiveCount() != 1 {
+		t.Errorf("after 1000 huge alloc/free cycles: %d huge entries, %d chunks, %d live",
+			len(a.huge), len(a.chunks), a.LiveCount())
+	}
+	a.Free(small)
+}
+
 func BenchmarkAllocFree(b *testing.B) {
 	a := NewAllocator(nil, 0)
 	for i := 0; i < b.N; i++ {

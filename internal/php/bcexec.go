@@ -142,11 +142,11 @@ func (in *Interp) bcCall(fn *compiledFn, args []interface{}) (interface{}, error
 }
 
 // bcRunMain executes the compiled script main as one request, mirroring
-// the tree-walking Run: fresh output buffer, preset globals, owned
+// the tree-walking Run: reset output buffer, preset globals, owned
 // arrays freed at teardown.
 func (in *Interp) bcRunMain() ([]byte, error) {
 	in.rt.BeginRequest()
-	in.ob = in.rt.NewOutputBuffer(fnPHPMain)
+	in.resetOutput()
 	in.owned = in.owned[:0]
 	defer func() {
 		for _, a := range in.owned {

@@ -95,6 +95,8 @@ func (in *Interp) SetGlobal(name string, v interface{}) {
 }
 
 // Run executes the script as one request and returns the response body.
+// The body aliases the interpreter's output buffer, which every run
+// reuses: it is valid until the next Run.
 func (in *Interp) Run() ([]byte, error) {
 	if t := in.tier; t != nil {
 		t.beginRequest()
@@ -105,7 +107,7 @@ func (in *Interp) Run() ([]byte, error) {
 		}
 	}
 	in.rt.BeginRequest()
-	in.ob = in.rt.NewOutputBuffer(fnPHPMain)
+	in.resetOutput()
 	in.globals = frame{vars: map[string]interface{}{}, fn: fnPHPMain}
 	for k, v := range in.preset {
 		in.globals.vars[k] = v
@@ -128,6 +130,16 @@ func (in *Interp) Run() ([]byte, error) {
 		return nil, fmt.Errorf("php: break/continue outside a loop")
 	}
 	return in.ob.Bytes(), nil
+}
+
+// resetOutput re-arms the response buffer for a new run, keeping its
+// backing array.
+func (in *Interp) resetOutput() {
+	if in.ob == nil {
+		in.ob = in.rt.NewOutputBuffer(fnPHPMain)
+	} else {
+		in.ob.Reset(fnPHPMain)
+	}
 }
 
 // RunScript parses and runs src on rt in one call.

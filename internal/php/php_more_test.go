@@ -18,6 +18,7 @@ func TestSetGlobalInjection(t *testing.T) {
 	if string(out) != "request #7 by alice" {
 		t.Errorf("output = %q", out)
 	}
+	out = append([]byte(nil), out...) // the next Run reuses the buffer
 	// Presets persist across runs.
 	out2, err := in.Run()
 	if err != nil {

@@ -507,26 +507,42 @@ func (p *Pool) accelStatsOwned() AccelStats {
 	return s
 }
 
-// PoolSnapshot is one consistent fleet-level view: merged meter, merged
-// trace (nil when tracing is disabled), and accelerator statistics, all
-// taken under the same quiescence barrier so a /metrics scrape reads one
-// coherent moment.
+// PoolSnapshot is one consistent fleet-level view: merged meter, trace
+// event counts, and accelerator statistics, all taken under the same
+// quiescence barrier so a /metrics scrape reads one coherent moment.
 type PoolSnapshot struct {
 	Meter *sim.Meter
-	Trace *trace.Recorder
-	Accel AccelStats
+	// TraceKinds sums every worker's per-kind trace event counts, indexed
+	// by trace.Kind (what MergedTrace().KindTotals() reports, without
+	// copying the retained events); nil when tracing is disabled.
+	TraceKinds []int64
+	Accel      AccelStats
 }
 
 // Snapshot drains the free list (waiting for in-flight requests) and
-// returns the merged meter, merged trace, and accelerator statistics in
-// one barrier, instead of the three separate drains MergedMeter +
+// returns the merged meter, trace event counts, and accelerator
+// statistics in one barrier, instead of the separate drains MergedMeter +
 // MergedTrace + per-worker reads would cost.
 func (p *Pool) Snapshot() PoolSnapshot {
 	p.acquireAll()
 	defer p.releaseAll()
 	return PoolSnapshot{
-		Meter: p.mergedMeterOwned(),
-		Trace: p.mergedTraceOwned(),
-		Accel: p.accelStatsOwned(),
+		Meter:      p.mergedMeterOwned(),
+		TraceKinds: p.traceKindsOwned(),
+		Accel:      p.accelStatsOwned(),
 	}
+}
+
+// traceKindsOwned requires the caller to hold every worker.
+func (p *Pool) traceKindsOwned() []int64 {
+	if p.workers[0].rt.Trace() == nil {
+		return nil
+	}
+	kinds := make([]int64, trace.NumKinds)
+	for _, w := range p.workers {
+		for k, n := range w.rt.Trace().KindTotals() {
+			kinds[k] += n
+		}
+	}
+	return kinds
 }

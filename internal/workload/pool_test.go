@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -374,8 +375,8 @@ func TestPoolSnapshot(t *testing.T) {
 	if ps.Meter.TotalCycles() <= 0 {
 		t.Errorf("snapshot meter empty")
 	}
-	if ps.Trace == nil || ps.Trace.Total() == 0 {
-		t.Errorf("snapshot trace empty")
+	if ps.TraceKinds == nil {
+		t.Fatalf("snapshot trace counts missing")
 	}
 	if ps.Accel.HashTable.Gets == 0 {
 		t.Errorf("no hardware hash table activity: %+v", ps.Accel.HashTable)
@@ -386,9 +387,13 @@ func TestPoolSnapshot(t *testing.T) {
 	if ps.Accel.RegexHits > ps.Accel.RegexLookups {
 		t.Errorf("hits exceed lookups: %+v", ps.Accel)
 	}
-	kt := ps.Trace.KindTotals()
+	kt := ps.TraceKinds
 	if kt[trace.KindHashGet] == 0 || kt[trace.KindRequest] == 0 {
 		t.Errorf("trace kind totals empty: %v", kt)
+	}
+	// The summed counters are what merging every worker's events reports.
+	if merged := p.MergedTrace().KindTotals(); !slices.Equal(kt, merged[:]) {
+		t.Errorf("snapshot kind totals %v, merged trace %v", kt, merged)
 	}
 }
 

@@ -206,7 +206,8 @@ func TestScriptedBlogApp(t *testing.T) {
 		t.Fatalf("name = %q", app.Name())
 	}
 	rt := swRuntime()
-	page := app.ServeRequest(rt)
+	// Copied: the next render on rt reuses the output buffer.
+	page := append([]byte(nil), app.ServeRequest(rt)...)
 	if len(page) < 2000 {
 		t.Fatalf("page too small: %d bytes", len(page))
 	}
